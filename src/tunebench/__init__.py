@@ -11,9 +11,7 @@ from tunebench.core import (
     IncumbentTrace,
     Trial,
     TrialLibrary,
-    better,
     incumbents,
-    to_score,
 )
 
 __all__ = [
@@ -22,9 +20,7 @@ __all__ = [
     "IncumbentTrace",
     "Trial",
     "TrialLibrary",
-    "better",
     "incumbents",
-    "to_score",
 ]
 
 __version__ = "0.1.0"

@@ -96,15 +96,20 @@ def omega_tunability(trace, scheme: WeightScheme) -> float:
 
 
 def shifted_scores(trace, direction: Direction) -> tuple[np.ndarray, float]:
-    """Map a trace onto a positive higher-is-better scale.
+    """Map a trace, or a task's optimizer x budget matrix, onto a positive
+    higher-is-better scale.
 
-    Maximization traces are used as-is and must already be positive.  For
+    Maximization values are used as-is and must already be positive.  For
     minimization the scores are (worst observed - value) + delta with
     delta = 1e-9 * observed range, so the best entry scores highest and the
-    worst still scores above zero.  Returns (scores, shift delta); callers
-    that report threshold metrics should record the delta alongside them.
+    worst still scores above zero; when every value is equal they all score
+    1 with delta 0, so identical curves tie.  Returns (scores, shift delta);
+    callers that report threshold metrics should record the delta alongside
+    them.
     """
-    values = _trace_values(trace)
+    values = trace.values if isinstance(trace, IncumbentTrace) else np.asarray(trace, dtype=float)
+    if values.ndim not in (1, 2) or values.size == 0:
+        raise ValueError("scores need a nonempty trace or optimizer x budget matrix")
     if direction is Direction.MAXIMIZE:
         if np.any(values <= 0):
             raise ValueError(
@@ -112,7 +117,10 @@ def shifted_scores(trace, direction: Direction) -> tuple[np.ndarray, float]:
             )
         return values, 0.0
     worst = float(values.max())
-    delta = 1e-9 * float(values.max() - values.min())
+    span = worst - float(values.min())
+    if span == 0.0:
+        return np.ones_like(values), 0.0
+    delta = 1e-9 * span
     return (worst - values) + delta, delta
 
 
@@ -124,7 +132,7 @@ def alpha_tunability(trace, alpha: float, direction: Direction) -> float:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    scores, _ = shifted_scores(trace, direction)
+    scores, _ = shifted_scores(_trace_values(trace), direction)
     horizon = scores.shape[0]
     target = alpha * scores[-1]
     hits = np.nonzero(scores >= target)[0]

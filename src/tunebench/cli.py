@@ -11,9 +11,10 @@ Every command is deterministic for fixed inputs and flags: floats are
 written with 17 significant digits, row order is fixed, and reruns
 produce byte-identical files.
 
-Exit codes: 0 success, 2 bad configuration or usage, 3 calibration
-failure, 4 inconsistent result grid, 5 missing record fields, 6
-malformed input files.
+Exit codes: 0 success, 2 bad configuration or usage (including a name or
+trial file given twice and out-of-range task sizes), 3 calibration
+failure, 4 inconsistent result grid or a library with no finished trials,
+5 missing record fields, 6 malformed input files.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from tunebench.priors import (
     default_priors,
     retained_trials,
 )
-from tunebench.tasks import make_task, task_ids
+from tunebench.tasks import check_trainable, make_task, task_ids, task_parameters
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -218,18 +219,32 @@ def read_trials(path: Path) -> list[Trial]:
     return trials
 
 
+def _read_trial_files(paths: Sequence[str]) -> list[Trial]:
+    """All records of the given files in order; a file named twice is an error."""
+    seen = set()
+    trials = []
+    for path in paths:
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise CliError(EXIT_CONFIG, f"{path}: trial file named twice")
+        seen.add(resolved)
+        trials.extend(read_trials(Path(path)))
+    return trials
+
+
 def _load_libraries(paths: Sequence[str]) -> dict[tuple[str, str], TrialLibrary]:
     """Group records from all files into one library per (optimizer, task)."""
     grouped: dict[tuple[str, str], list[Trial]] = {}
-    for path in paths:
-        for trial in read_trials(Path(path)):
-            grouped.setdefault((trial.optimizer_id, trial.task_id), []).append(trial)
+    for trial in _read_trial_files(paths):
+        grouped.setdefault((trial.optimizer_id, trial.task_id), []).append(trial)
     libraries = {}
-    for key, trials in grouped.items():
+    for (oid, tid), trials in grouped.items():
         try:
-            libraries[key] = TrialLibrary.from_trials(trials)
+            libraries[(oid, tid)] = TrialLibrary.from_trials(trials)
         except ValueError as err:
-            raise CliError(EXIT_PARSE, f"{key[0]}/{key[1]}: {err}")
+            raise CliError(EXIT_PARSE, f"{oid}/{tid}: {err}")
+        if all(trial.diverged for trial in trials):
+            raise CliError(EXIT_GRID, f"{oid}/{tid}: library has no finished trials")
     return libraries
 
 
@@ -288,12 +303,6 @@ def prior_from_json(text: str, where: str) -> tuple[str, PriorSpec]:
 
 # --- generate ---------------------------------------------------------------
 
-_TASK_OVERRIDE_KEYS = {
-    "quadratic": ("dim", "seed", "batch_size", "max_epochs", "train_size"),
-    "logreg": ("n", "dim", "seed", "batch_size", "max_epochs"),
-    "mlp": ("seed", "n", "batch_size", "max_epochs"),
-}
-
 _SEARCH_KEYS = ("optimizers", "tasks", "trials", "seed")
 
 
@@ -325,6 +334,10 @@ def parse_search_config(text: str, where: str):
     tasks = _split_names(search["tasks"])
     if not optimizers or not tasks:
         raise CliError(EXIT_CONFIG, f"{where}: optimizers and tasks must be nonempty")
+    for key, names in (("optimizers", optimizers), ("tasks", tasks)):
+        twice = [name for i, name in enumerate(names) if name in names[:i]]
+        if twice:
+            raise CliError(EXIT_CONFIG, f"{where}: {twice[0]!r} named twice in [search] {key}")
 
     def _int_option(section, key: str, default: int, minimum: int) -> int:
         raw = section.get(key)
@@ -348,10 +361,10 @@ def parse_search_config(text: str, where: str):
         if not section.startswith("task."):
             raise CliError(EXIT_CONFIG, f"{where}: unknown section [{section}]")
         task_id = section[len("task."):]
-        if task_id not in _TASK_OVERRIDE_KEYS:
+        if task_id not in task_ids():
             known = ", ".join(task_ids())
             raise CliError(EXIT_CONFIG, f"{where}: unknown task {task_id!r} (known: {known})")
-        allowed = _TASK_OVERRIDE_KEYS[task_id]
+        allowed = task_parameters(task_id)
         values = {}
         for key in parser[section]:
             if key not in allowed:
@@ -362,7 +375,7 @@ def parse_search_config(text: str, where: str):
         overrides[task_id] = values
 
     for task_id in tasks:
-        if task_id not in _TASK_OVERRIDE_KEYS:
+        if task_id not in task_ids():
             known = ", ".join(task_ids())
             raise CliError(EXIT_CONFIG, f"{where}: unknown task {task_id!r} (known: {known})")
     return optimizers, tasks, trials, seed, overrides
@@ -404,6 +417,7 @@ def cmd_generate(args) -> int:
     for tid in tasks:
         try:
             instances[tid] = make_task(tid, **overrides.get(tid, {}))
+            check_trainable(instances[tid])
         except (TypeError, ValueError) as err:
             raise CliError(EXIT_CONFIG, f"task {tid!r}: {err}")
 
@@ -412,11 +426,11 @@ def cmd_generate(args) -> int:
         for ti, tid in enumerate(tasks):
             master = int(np.random.SeedSequence((seed, oi, ti)).generate_state(1)[0])
             try:
-                run = random_search(spec, priors[spec.optimizer_id], instances[tid], trials, master)
+                lib = random_search(spec, priors[spec.optimizer_id], instances[tid], trials, master)
             except ValueError as err:
                 raise CliError(EXIT_CONFIG, str(err))
             path = out / f"{spec.optimizer_id}__{tid}.jsonl"
-            write_trials(path, run.trials)
+            write_trials(path, lib.trials)
             print(path)
     return EXIT_OK
 
@@ -427,9 +441,8 @@ def cmd_calibrate(args) -> int:
     if args.retention <= 0:
         raise CliError(EXIT_CONFIG, "--retention must be positive")
     grouped: dict[str, list[Trial]] = {}
-    for path in args.files:
-        for trial in read_trials(Path(path)):
-            grouped.setdefault(trial.optimizer_id, []).append(trial)
+    for trial in _read_trial_files(args.files):
+        grouped.setdefault(trial.optimizer_id, []).append(trial)
     out = _out_dir(args)
     for oid, trials in grouped.items():
         try:
@@ -493,6 +506,8 @@ def _effective_budgets(budgets: Sequence[int], size: int, label: str) -> list[in
 
 
 def cmd_analyze(args) -> int:
+    if args.bootstrap is not None and args.bootstrap < 1:
+        raise CliError(EXIT_CONFIG, "--bootstrap must be a positive repetition count")
     libraries = _load_libraries(args.files)
     budgets = None if args.budget is None else parse_budgets(args.budget)
     if budgets is None:
@@ -501,41 +516,16 @@ def cmd_analyze(args) -> int:
     for (oid, tid), lib in libraries.items():
         effective = _effective_budgets(budgets, len(lib), f"{oid}/{tid}")
         if args.bootstrap is None:
-            objectives = lib.analysis_objectives()
-            for budget in effective:
-                dist = estimator.best_at_distribution(objectives, budget, lib.direction)
-                rows.append(
-                    (
-                        oid,
-                        tid,
-                        lib.direction.value,
-                        budget,
-                        dist.mean(),
-                        dist.variance(),
-                        dist.quantile(0.25),
-                        dist.quantile(0.50),
-                        dist.quantile(0.75),
-                    )
-                )
+            curve = estimator.exact_budget_curve(lib, effective)
         else:
-            if args.bootstrap < 1:
-                raise CliError(EXIT_CONFIG, "--bootstrap must be a positive repetition count")
-            for budget in effective:
-                runs = estimator.bootstrap_runs(lib, budget, args.bootstrap, args.seed)
-                finals = np.array([trace.values[-1] for trace in runs])
-                rows.append(
-                    (
-                        oid,
-                        tid,
-                        lib.direction.value,
-                        budget,
-                        finals.mean(),
-                        finals.var(),
-                        np.quantile(finals, 0.25),
-                        np.quantile(finals, 0.50),
-                        np.quantile(finals, 0.75),
-                    )
-                )
+            curve = estimator.bootstrap_budget_curve(lib, effective, args.bootstrap, args.seed)
+        q = curve.quantiles
+        rows.extend(
+            (oid, tid, lib.direction.value, *cells)
+            for cells in zip(
+                curve.budgets, curve.mean, curve.variance, q["q25"], q["q50"], q["q75"]
+            )
+        )
     out = _out_dir(args)
     path = out / "curves.csv"
     _write_csv(path, _CURVE_HEADER, rows)
@@ -603,23 +593,6 @@ def _read_curves(path: Path):
     return tasks, optimizers, directions, means, horizon
 
 
-def _positive_scores(matrix: np.ndarray, direction: str) -> tuple[np.ndarray, float]:
-    """Shift a task's mean-curve matrix so every entry is a positive score."""
-    if direction == Direction.MAXIMIZE.value:
-        if np.any(matrix <= 0):
-            raise CliError(
-                EXIT_GRID,
-                "relative scores need positive objectives; shift the objective first",
-            )
-        return matrix, 0.0
-    worst = float(matrix.max())
-    span = worst - float(matrix.min())
-    if span == 0.0:
-        return np.ones_like(matrix), 0.0
-    delta = 1e-9 * span
-    return worst - matrix + delta, delta
-
-
 def cmd_summarize(args) -> int:
     tasks, optimizers, directions, means, horizon = _read_curves(Path(args.curves))
     out = _out_dir(args)
@@ -628,7 +601,10 @@ def cmd_summarize(args) -> int:
     shifts: dict[str, float] = {}
     for tid in tasks:
         matrix = np.vstack([means[tid][oid] for oid in optimizers])
-        scores[tid], shifts[tid] = _positive_scores(matrix, directions[tid])
+        try:
+            scores[tid], shifts[tid] = aggregate.shifted_scores(matrix, Direction(directions[tid]))
+        except ValueError as err:
+            raise CliError(EXIT_GRID, f"task {tid!r}: {err}")
 
     relative_rows = []
     for tid in tasks:
@@ -959,55 +935,42 @@ def _plot_grouped(
     }
 
 
+# CSV header -> (task, x, series and y columns), title, x label, y label, stacked
+_PLOTS = {
+    _CURVE_HEADER: (
+        ("task", "budget", "optimizer", "mean"),
+        "expected best vs budget", "budget", "objective", False,
+    ),
+    _PROB_HEADER: (
+        ("task", "budget", "optimizer", "probability"),
+        "probability of best", "budget", "probability", True,
+    ),
+    _TIME_HEADER: (
+        ("task", "steps", "optimizer", "mean"),
+        "incumbent vs update steps", "update steps", "objective", False,
+    ),
+    _RELATIVE_HEADER: (
+        ("task", "budget", "optimizer", "score"),
+        "relative score vs budget", "budget", "relative score", False,
+    ),
+}
+
+
 def cmd_plot(args) -> int:
     out = _out_dir(args)
     written = []
     for raw in args.files:
         path = Path(raw)
         header, rows = _read_csv(path)
-        stem = path.stem
-        if header == _CURVE_HEADER:
-            charts = _plot_grouped(rows, task_col=1, x_col=3, series_col=0, y_col=4)
-            for tid, series in charts.items():
-                svg = _svg_chart(
-                    f"expected best vs budget ({tid})", "budget", "objective", series
-                )
-                target = out / f"{stem}_{tid}.svg"
-                target.write_text(svg, encoding="utf-8")
-                written.append(target)
-        elif header == _PROB_HEADER:
-            charts = _plot_grouped(rows, task_col=0, x_col=1, series_col=2, y_col=3)
-            for tid, series in charts.items():
-                svg = _svg_chart(
-                    f"probability of best ({tid})",
-                    "budget",
-                    "probability",
-                    series,
-                    stacked=True,
-                )
-                target = out / f"{stem}_{tid}.svg"
-                target.write_text(svg, encoding="utf-8")
-                written.append(target)
-        elif header == _TIME_HEADER:
-            charts = _plot_grouped(rows, task_col=0, x_col=2, series_col=3, y_col=4)
-            for tid, series in charts.items():
-                svg = _svg_chart(
-                    f"incumbent vs update steps ({tid})", "update steps", "objective", series
-                )
-                target = out / f"{stem}_{tid}.svg"
-                target.write_text(svg, encoding="utf-8")
-                written.append(target)
-        elif header == _RELATIVE_HEADER:
-            charts = _plot_grouped(rows, task_col=0, x_col=2, series_col=1, y_col=3)
-            for tid, series in charts.items():
-                svg = _svg_chart(
-                    f"relative score vs budget ({tid})", "budget", "relative score", series
-                )
-                target = out / f"{stem}_{tid}.svg"
-                target.write_text(svg, encoding="utf-8")
-                written.append(target)
-        else:
+        if header not in _PLOTS:
             raise CliError(EXIT_PARSE, f"{path}: unrecognized CSV header")
+        columns, title, xlabel, ylabel, stacked = _PLOTS[header]
+        charts = _plot_grouped(rows, *(header.index(name) for name in columns))
+        for tid, series in charts.items():
+            svg = _svg_chart(f"{title} ({tid})", xlabel, ylabel, series, stacked=stacked)
+            target = out / f"{path.stem}_{tid}.svg"
+            target.write_text(svg, encoding="utf-8")
+            written.append(target)
     for target in written:
         print(target)
     return EXIT_OK
@@ -1069,16 +1032,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="budgets, e.g. '1,4,16' or '1..100' (default: 1..smallest library)",
     )
-    mode = a.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--exact", action="store_true", help="closed-form estimator (default)"
-    )
-    mode.add_argument(
+    a.add_argument(
         "--bootstrap",
         type=int,
         default=None,
         metavar="R",
-        help="Monte-Carlo estimator with R simulated searches",
+        help="Monte-Carlo estimator with R simulated searches (default: exact)",
     )
     a.add_argument("--seed", type=int, default=0, help="bootstrap stream seed (default: 0)")
     a.add_argument("--out", default=".", help="output directory (default: .)")

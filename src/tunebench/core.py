@@ -31,20 +31,6 @@ class Direction(enum.Enum):
     MAXIMIZE = "max"
 
 
-def better(a: float, b: float, direction: Direction) -> bool:
-    """True when ``a`` is strictly better than ``b`` under ``direction``."""
-    if direction is Direction.MINIMIZE:
-        return a < b
-    return a > b
-
-
-def to_score(x: float, direction: Direction) -> float:
-    """Map an objective onto a higher-is-better axis (negates under MINIMIZE)."""
-    if direction is Direction.MINIMIZE:
-        return -x
-    return x
-
-
 def incumbents(objectives: Sequence[float], direction: Direction) -> "IncumbentTrace":
     """Running best-so-far of an ordered objective sequence.
 
@@ -202,3 +188,20 @@ class BudgetCurve:
         object.__setattr__(self, "budgets", b)
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "variance", v)
+
+    @classmethod
+    def from_samples(cls, budgets, samples: np.ndarray) -> "BudgetCurve":
+        """Sample mean, variance and quartiles of ``samples[:, k]`` at ``budgets[k]``."""
+        # Stats are taken per budget on 1-D column slices: a whole-array
+        # axis=0 reduction uses a different summation order and would not
+        # reproduce bitwise the value computed from a standalone 1-D sample.
+        cols = [samples[:, k] for k in range(samples.shape[1])]
+        return cls(
+            budgets=budgets,
+            mean=np.array([c.mean() for c in cols]),
+            variance=np.array([c.var() for c in cols]),
+            quantiles={
+                name: np.array([np.quantile(c, q) for c in cols])
+                for name, q in (("q25", 0.25), ("q50", 0.50), ("q75", 0.75))
+            },
+        )

@@ -12,6 +12,7 @@ budget without simulating anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -111,80 +112,73 @@ def empirical_cdf(values) -> EmpiricalCdf:
     return EmpiricalCdf(support=support, cdf=cdf, counts=counts)
 
 
-def _max_powered_cdf(values: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    # distribution of max(X_1..X_S): P(max <= y) = F(y)**S
-    support, counts = np.unique(values, return_counts=True)
-    base = np.cumsum(counts) / values.size
-    return support, base**budget
+def _checked_budgets(budgets: Sequence[int]) -> list[int]:
+    checked = [_checked_budget(b) for b in budgets]
+    if not checked:
+        raise ValueError("need at least one budget")
+    return checked
 
 
-def expected_best_at(values, budget: int, direction: Direction) -> float:
-    """Exact expectation of the best of ``budget`` i.i.d. draws from ``values``.
+def _best_distributions(
+    values, budgets: Sequence[int], direction: Direction
+) -> Iterator[EmpiricalCdf]:
+    """Distribution of the best of S i.i.d. draws from ``values``, for each S.
 
-    Minimization is handled by negating the values, applying the maximum
-    formula and negating the result, so the two directions are exact mirror
-    images of each other.
+    The values are sorted once; each budget then costs one elementwise power.
     """
-    budget = _checked_budget(budget)
+    budgets = _checked_budgets(budgets)
     arr = _checked_values(values)
-    if direction is Direction.MINIMIZE:
-        return -expected_best_at(-arr, budget, Direction.MAXIMIZE)
-    support, powered = _max_powered_cdf(arr, budget)
-    masses = np.diff(powered, prepend=0.0)
-    return float(support @ masses)
-
-
-def variance_best_at(values, budget: int, direction: Direction) -> float:
-    """Exact variance of the best of ``budget`` i.i.d. draws from ``values``."""
-    budget = _checked_budget(budget)
-    arr = _checked_values(values)
-    if direction is Direction.MINIMIZE:
-        # variance is invariant under negation
-        arr = -arr
-    support, powered = _max_powered_cdf(arr, budget)
-    masses = np.diff(powered, prepend=0.0)
-    first = float(support @ masses)
-    second = float((support * support) @ masses)
-    return _clamp_variance(second - first * first)
+    minimize = direction is Direction.MINIMIZE
+    # min(X) = -max(-X): work on the negated values under MINIMIZE
+    support, counts = np.unique(-arr if minimize else arr, return_counts=True)
+    base = np.cumsum(counts) / arr.size
+    flipped = -support[::-1]
+    for budget in budgets:
+        # distribution of max(X_1..X_S): P(max <= y) = F(y)**S
+        powered = base**budget
+        if not minimize:
+            yield EmpiricalCdf(support=support, cdf=powered)
+            continue
+        # flip the support back and complement the CDF so the top entry is
+        # exactly 1 by construction.
+        padded = np.concatenate(([0.0], powered))
+        yield EmpiricalCdf(support=flipped, cdf=1.0 - padded[support.size - 1 :: -1])
 
 
 def best_at_distribution(values, budget: int, direction: Direction) -> EmpiricalCdf:
     """Full distribution of the best of ``budget`` i.i.d. draws from ``values``."""
-    budget = _checked_budget(budget)
-    arr = _checked_values(values)
-    if direction is Direction.MAXIMIZE:
-        support, powered = _max_powered_cdf(arr, budget)
-        return EmpiricalCdf(support=support, cdf=powered)
-    # min(X) = -max(-X): flip the support back and complement the CDF so the
-    # top entry is exactly 1 by construction.
-    neg_support, neg_powered = _max_powered_cdf(-arr, budget)
-    support = -neg_support[::-1]
-    padded = np.concatenate(([0.0], neg_powered))
-    cdf = 1.0 - padded[len(neg_support) - 1 :: -1]
-    return EmpiricalCdf(support=support, cdf=cdf)
+    return next(_best_distributions(values, [budget], direction))
 
 
-def exact_budget_curve(library: TrialLibrary, max_budget: int) -> BudgetCurve:
-    """Closed-form budget curve for budgets 1..max_budget.
+def expected_best_at(values, budget: int, direction: Direction) -> float:
+    """Exact expectation of the best of ``budget`` i.i.d. draws from ``values``."""
+    return best_at_distribution(values, budget, direction).mean()
+
+
+def variance_best_at(values, budget: int, direction: Direction) -> float:
+    """Exact variance of the best of ``budget`` i.i.d. draws from ``values``."""
+    return best_at_distribution(values, budget, direction).variance()
+
+
+def exact_budget_curve(library: TrialLibrary, budgets: Sequence[int]) -> BudgetCurve:
+    """Closed-form budget curve at the given budgets.
 
     Returns the mean, variance and quartiles of the best objective after t
-    library draws, for every t.  Diverged trials enter as the library's
-    worst sentinel so they drag the curve the way a failed run would.
+    library draws, for every budget t.  Diverged trials enter as the
+    library's worst sentinel so they drag the curve the way a failed run
+    would.
     """
-    max_budget = _checked_budget(max_budget)
-    objectives = library.analysis_objectives()
-    budgets = np.arange(1, max_budget + 1, dtype=np.int64)
-    mean = np.empty(max_budget)
-    variance = np.empty(max_budget)
-    quantiles = {"q25": np.empty(max_budget), "q50": np.empty(max_budget), "q75": np.empty(max_budget)}
-    for i, t in enumerate(budgets):
-        dist = best_at_distribution(objectives, int(t), library.direction)
-        mean[i] = dist.mean()
-        variance[i] = dist.variance()
-        quantiles["q25"][i] = dist.quantile(0.25)
-        quantiles["q50"][i] = dist.quantile(0.50)
-        quantiles["q75"][i] = dist.quantile(0.75)
-    return BudgetCurve(budgets=budgets, mean=mean, variance=variance, quantiles=quantiles)
+    dists = _best_distributions(library.analysis_objectives(), budgets, library.direction)
+    stats = np.array([
+        (d.mean(), d.variance(), d.quantile(0.25), d.quantile(0.50), d.quantile(0.75))
+        for d in dists
+    ])
+    return BudgetCurve(
+        budgets=budgets,
+        mean=stats[:, 0],
+        variance=stats[:, 1],
+        quantiles={"q25": stats[:, 2], "q50": stats[:, 3], "q75": stats[:, 4]},
+    )
 
 
 def bootstrap_runs(
@@ -213,3 +207,21 @@ def bootstrap_runs(
     else:
         running = np.maximum.accumulate(draws, axis=1)
     return [IncumbentTrace(values=row) for row in running]
+
+
+def bootstrap_budget_curve(
+    library: TrialLibrary,
+    budgets: Sequence[int],
+    repetitions: int,
+    rng_seed: int,
+) -> BudgetCurve:
+    """Monte-Carlo budget curve from ``repetitions`` simulated searches.
+
+    The searches are drawn once, at the largest budget, and read at every
+    budget: draws are prefix-shared, so the incumbent after t draws is the
+    one a separate run at budget t would end with.
+    """
+    budgets = np.array(_checked_budgets(budgets), dtype=np.int64)
+    runs = bootstrap_runs(library, int(budgets.max()), repetitions, rng_seed)
+    traces = np.vstack([run.values for run in runs])
+    return BudgetCurve.from_samples(budgets, traces[:, budgets - 1])

@@ -123,21 +123,6 @@ def train_trial(
     )
 
 
-@dataclass(frozen=True)
-class SearchRun:
-    """One complete random search: budget i.i.d. trials in draw order."""
-
-    optimizer: OptimizerSpec
-    prior: PriorSpec
-    task_id: str
-    budget: int
-    master_seed: int
-    trials: tuple[Trial, ...]
-
-    def library(self) -> TrialLibrary:
-        return TrialLibrary.from_trials(self.trials)
-
-
 def _trial_seed(master_seed: int, index: int) -> int:
     # hash-expanded so trial seeds never collide with the config streams
     return int(np.random.SeedSequence((master_seed, index, 1)).generate_state(1)[0])
@@ -149,8 +134,8 @@ def random_search(
     task: TaskInstance,
     budget: int,
     master_seed: int,
-) -> SearchRun:
-    """Draw ``budget`` configs from the prior and train each one."""
+) -> TrialLibrary:
+    """Draw ``budget`` configs from the prior and train each one, in draw order."""
     if budget < 1:
         raise ValueError("budget must be a positive integer")
     if set(prior.names()) != set(opt.hyperparameters):
@@ -176,27 +161,7 @@ def random_search(
                 diverged=outcome.diverged,
             )
         )
-    return SearchRun(
-        optimizer=opt,
-        prior=prior,
-        task_id=task.task_id,
-        budget=budget,
-        master_seed=master_seed,
-        trials=tuple(trials),
-    )
-
-
-def precompute_library(
-    opt: OptimizerSpec,
-    prior: PriorSpec,
-    task: TaskInstance,
-    size: int = 100,
-    master_seed: int = 0,
-) -> TrialLibrary:
-    """Library of ``size`` finished trials for one (optimizer, task) pair."""
-    if size < 1:
-        raise ValueError("library size must be a positive integer")
-    return random_search(opt, prior, task, size, master_seed).library()
+    return TrialLibrary.from_trials(trials)
 
 
 @dataclass(frozen=True)
@@ -262,19 +227,7 @@ def time_budget_curve(
             values[r] = np.where(
                 completed > 0, running[np.maximum(completed - 1, 0)], sentinel
             )
-        # Stats are taken per interval on 1-D column slices: a whole-array
-        # axis=0 reduction uses a different summation order and would not
-        # reproduce bitwise the value computed from a standalone 1-D sample.
-        cols = [values[:, k] for k in range(intervals)]
-        quantiles = {
-            "q25": np.array([np.quantile(c, 0.25) for c in cols]),
-            "q50": np.array([np.quantile(c, 0.50) for c in cols]),
-            "q75": np.array([np.quantile(c, 0.75) for c in cols]),
-        }
-        curves[lib.optimizer_id] = BudgetCurve(
-            budgets=np.arange(1, intervals + 1, dtype=np.int64),
-            mean=np.array([c.mean() for c in cols]),
-            variance=np.array([c.var() for c in cols]),
-            quantiles=quantiles,
+        curves[lib.optimizer_id] = BudgetCurve.from_samples(
+            np.arange(1, intervals + 1, dtype=np.int64), values
         )
     return TimeBudgetResult(max_steps=max_steps, boundaries=boundaries, curves=curves)

@@ -9,6 +9,7 @@ reproduces its loss trajectory exactly.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,13 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 def _logistic_loss(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.logaddexp(0.0, -y * z).mean())
+
+
+def _check_schedule(batch_size: int, max_epochs: int) -> None:
+    if batch_size < 1:
+        raise ValueError(f"batch_size = {batch_size} must be >= 1")
+    if max_epochs < 1:
+        raise ValueError(f"max_epochs = {max_epochs} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,9 @@ def quadratic_deep_task(
 ) -> QuadraticTask:
     if dim < 2:
         raise ValueError("quadratic task needs dim >= 2")
+    if train_size < 1:
+        raise ValueError(f"train_size = {train_size} must be >= 1")
+    _check_schedule(batch_size, max_epochs)
     return QuadraticTask(
         task_id="quadratic",
         dim=dim,
@@ -151,6 +162,9 @@ def logreg_task(
 ) -> LogRegTask:
     if n < 10:
         raise ValueError("logreg task needs n >= 10")
+    if dim < 1:
+        raise ValueError("logreg task needs dim >= 1")
+    _check_schedule(batch_size, max_epochs)
     rng = substream(seed)
     half = n // 2
     mean = (2.0 / np.sqrt(dim)) * np.ones(dim)  # ||mean|| = 2, clusters 4 sigma apart
@@ -262,6 +276,7 @@ def mlp_task(
     batch_size: int = 50,
     max_epochs: int = 40,
 ) -> MlpTask:
+    _check_schedule(batch_size, max_epochs)
     rng = substream(seed)
     half = n // 2
     n = 2 * half  # one point per class per spine position
@@ -301,14 +316,39 @@ def task_ids() -> tuple[str, ...]:
     return tuple(_FACTORIES)
 
 
-def make_task(task_id: str, **overrides) -> TaskInstance:
-    """Build a task by id with optional keyword overrides (dim, seed, ...)."""
+def _factory(task_id: str):
     try:
-        factory = _FACTORIES[task_id]
+        return _FACTORIES[task_id]
     except KeyError:
         known = ", ".join(_FACTORIES)
         raise ValueError(f"unknown task id {task_id!r}; known ids: {known}") from None
-    return factory(**overrides)
+
+
+def task_parameters(task_id: str) -> tuple[str, ...]:
+    """Names of the keyword overrides ``make_task`` accepts for a task id."""
+    return tuple(inspect.signature(_factory(task_id)).parameters)
+
+
+def make_task(task_id: str, **overrides) -> TaskInstance:
+    """Build a task by id with optional keyword overrides (dim, seed, ...).
+
+    A size below its minimum raises a ValueError that names the key;
+    ``check_trainable`` compares the batch size with the training set.
+    """
+    return _factory(task_id)(**overrides)
+
+
+def check_trainable(task: TaskInstance) -> None:
+    """Reject a task whose batch size exceeds its training set.
+
+    Such a task can still be evaluated, but training it would never take
+    an update step.
+    """
+    if task.n_batches < 1:
+        points = task.train_size if isinstance(task, QuadraticTask) else task.train_x.shape[0]
+        raise ValueError(
+            f"batch_size = {task.batch_size} is larger than the {points}-point training set"
+        )
 
 
 def evaluate(task: TaskInstance, params: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from tunebench import aggregate, estimator
 from tunebench.cli import main as cli_main
 from tunebench.cli import write_trials
 from tunebench.core import Direction, Trial, TrialLibrary, substream
-from tunebench.hpo import precompute_library
+from tunebench.hpo import random_search
 from tunebench.optim import optimizer_spec
 from tunebench.priors import LogNormal, default_priors
 from tunebench.tasks import logreg_task, make_task, mlp_task, quadratic_deep_task
@@ -199,11 +199,11 @@ def test_criterion_8_end_to_end_testbed(capsys):
         task = quadratic_deep_task()
         init_loss = task.validation_loss(task.init_params(0))
         for optimizer_id in ("sgd-lr", "adam-lr"):
-            lib = precompute_library(
+            lib = random_search(
                 optimizer_spec(optimizer_id),
                 default_priors(optimizer_id),
                 task,
-                size=100,
+                budget=100,
                 master_seed=0,
             )
             objectives = lib.analysis_objectives()

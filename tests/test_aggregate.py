@@ -107,6 +107,14 @@ def test_shifted_scores_minimize_frozen():
     assert delta == pytest.approx(9e-9, abs=1e-18)
     assert np.allclose(scores, [9e-9, 5 + 9e-9, 9 + 9e-9], atol=1e-15)
     assert np.all(scores > 0)
+    # an optimizer x budget matrix shares one worst value and one delta
+    scores, delta = shifted_scores(np.array([[10.0, 5.0], [4.0, 1.0]]), MIN)
+    assert delta == pytest.approx(9e-9, abs=1e-18)
+    assert np.allclose(scores, [[9e-9, 5 + 9e-9], [6 + 9e-9, 9 + 9e-9]], atol=1e-15)
+    # constant values: every entry scores 1 with no shift, so they tie
+    scores, delta = shifted_scores(np.full((2, 3), 4.5), MIN)
+    assert np.array_equal(scores, np.ones((2, 3)))
+    assert delta == 0.0
 
 
 def test_shifted_scores_maximize_passthrough():

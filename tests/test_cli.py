@@ -357,3 +357,73 @@ def test_plot_rejects_unknown_header(tmp_path):
     weird = tmp_path / "weird.csv"
     weird.write_text("alpha,beta\n1,2\n")
     assert run(["plot", weird, "--out", tmp_path]) == 6
+
+
+# --- degenerate inputs -------------------------------------------------------------
+
+MLP_CONFIG = CONFIG.replace("quadratic", "mlp").replace("dim = 5\n", "")
+
+# name: (argv, config text, exit code, fragment of the one-line message).
+# In argv, {a} and {b} are two small libraries, {a_again} is {a} reached
+# through "..", {diverged} is a library whose trials all diverged, and
+# {config} is the config text written to a file.
+DEGENERATE = {
+    "analyze_all_diverged": (
+        ["analyze", "{diverged}"], None,
+        4, "opt-a/synthetic: library has no finished trials"),
+    "bootstrap_all_diverged": (
+        ["analyze", "{diverged}", "--bootstrap", "20"], None,
+        4, "no finished trials"),
+    "mlp_batch_size_0": (
+        ["generate", "{config}"], MLP_CONFIG + "batch_size = 0\n",
+        2, "batch_size = 0"),
+    "batch_size_above_training_set": (
+        ["generate", "{config}"], CONFIG + "batch_size = 2000\n",
+        2, "batch_size = 2000"),
+    "max_epochs_0": (
+        ["generate", "{config}"], CONFIG.replace("max_epochs = 2", "max_epochs = 0"),
+        2, "max_epochs = 0"),
+    "train_size_0": (
+        ["generate", "{config}"], CONFIG + "train_size = 0\n",
+        2, "train_size = 0"),
+    "mlp_n_12": (
+        ["generate", "{config}"], MLP_CONFIG + "n = 12\n",
+        2, "batch_size = 50"),
+    "optimizer_named_twice": (
+        ["generate", "{config}"], CONFIG.replace("= sgd-lr", "= sgd-lr, sgd-lr"),
+        2, "'sgd-lr' named twice"),
+    "task_named_twice": (
+        ["generate", "{config}"], CONFIG.replace("= quadratic", "= quadratic quadratic"),
+        2, "'quadratic' named twice"),
+    "analyze_file_twice": (["analyze", "{a}", "{a}"], None, 2, "named twice"),
+    "analyze_file_twice_by_another_path": (
+        ["analyze", "{a}", "{b}", "{a_again}"], None, 2, "named twice"),
+    "prob_best_file_twice": (["prob-best", "{a}", "{b}", "{b}"], None, 2, "named twice"),
+    "time_curve_file_twice": (["time-curve", "{a}", "{b}", "{a}"], None, 2, "named twice"),
+    "calibrate_file_twice": (["calibrate", "{a}", "{a}"], None, 2, "named twice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_inputs_exit_with_one_line(case, tmp_path, capsys):
+    argv, config, code, fragment = DEGENERATE[case]
+    paths = {name: tmp_path / f"{name}.jsonl" for name in ("a", "b", "diverged")}
+    write_trials(paths["a"], synthetic_trials([3.0, 1.0, 2.0], optimizer_id="opt-a"))
+    write_trials(paths["b"], synthetic_trials([2.0, 4.0, 1.0], optimizer_id="opt-b"))
+    write_trials(paths["diverged"], [
+        Trial(
+            optimizer_id="opt-a", task_id="synthetic", seed=i,
+            config={"learning_rate": 3.0}, objective=None,
+            direction=Direction.MINIMIZE, update_steps=2, epochs_run=0, diverged=True,
+        )
+        for i in range(3)
+    ])
+    paths["a_again"] = tmp_path / ".." / tmp_path.name / "a.jsonl"
+    paths["config"] = tmp_path / "search.ini"
+    if config is not None:
+        paths["config"].write_text(config)
+    assert run([arg.format(**paths) for arg in argv] + ["--out", tmp_path / "out"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("tunebench: error:")]
+    assert len(lines) == 1 and fragment in lines[0], err

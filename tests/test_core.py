@@ -8,10 +8,8 @@ from tunebench.core import (
     IncumbentTrace,
     Trial,
     TrialLibrary,
-    better,
     incumbents,
     substream,
-    to_score,
 )
 
 
@@ -33,15 +31,6 @@ def test_direction_values_match_wire_format():
     assert Direction.MINIMIZE.value == "min"
     assert Direction.MAXIMIZE.value == "max"
     assert Direction("min") is Direction.MINIMIZE
-
-
-def test_better_and_to_score():
-    assert better(1.0, 2.0, Direction.MINIMIZE)
-    assert not better(2.0, 1.0, Direction.MINIMIZE)
-    assert better(2.0, 1.0, Direction.MAXIMIZE)
-    assert not better(1.0, 1.0, Direction.MAXIMIZE)  # strict
-    assert to_score(3.0, Direction.MINIMIZE) == -3.0
-    assert to_score(3.0, Direction.MAXIMIZE) == 3.0
 
 
 def test_substream_reproducible_and_distinct():

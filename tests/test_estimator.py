@@ -9,6 +9,7 @@ from tunebench.core import Direction, Trial, TrialLibrary
 from tunebench.estimator import (
     EmpiricalCdf,
     best_at_distribution,
+    bootstrap_budget_curve,
     bootstrap_runs,
     empirical_cdf,
     exact_budget_curve,
@@ -186,7 +187,7 @@ def test_input_validation():
 
 def test_exact_budget_curve_shapes_and_monotonicity():
     lib = library_of([3.0, 0.5, 2.0, 0.9, 4.0])
-    curve = exact_budget_curve(lib, 8)
+    curve = exact_budget_curve(lib, range(1, 9))
     assert np.array_equal(curve.budgets, np.arange(1, 9))
     assert np.all(np.diff(curve.mean) <= 1e-15)  # minimize: nonincreasing
     assert np.all(curve.variance >= 0)
@@ -213,7 +214,7 @@ def test_exact_budget_curve_imputes_diverged_trials():
         )
     ]
     lib = TrialLibrary.from_trials(trials)
-    curve = exact_budget_curve(lib, 1)
+    curve = exact_budget_curve(lib, [1])
     sentinel = lib.worst_sentinel()
     assert curve.mean[0] == pytest.approx((1.0 + 2.0 + sentinel) / 3, abs=1e-12)
 
@@ -235,6 +236,30 @@ def test_bootstrap_budget_extension_shares_prefixes():
     long = bootstrap_runs(lib, budget=9, repetitions=30, rng_seed=11)
     for s, l in zip(short, long):
         assert np.array_equal(s.values, l.values[:4])
+
+
+@pytest.mark.parametrize("direction", [MIN, MAX])
+def test_budget_curves_match_per_budget_reference(direction):
+    # reference: one distribution, or one bootstrap run, per budget
+    lib = library_of([0.4, 0.1, 2.0, 0.8, 0.1, 1.5], direction=direction)
+    budgets = [5, 1, 3, 9]
+    exact = exact_budget_curve(lib, budgets)
+    boot = bootstrap_budget_curve(lib, budgets, repetitions=25, rng_seed=4)
+    assert np.array_equal(exact.budgets, budgets) and np.array_equal(boot.budgets, budgets)
+    for k, budget in enumerate(budgets):
+        dist = best_at_distribution(lib.analysis_objectives(), budget, direction)
+        assert exact.mean[k] == dist.mean()
+        assert exact.variance[k] == dist.variance()
+        assert exact.quantiles["q50"][k] == dist.quantile(0.5)
+        finals = np.array([t.values[-1] for t in bootstrap_runs(lib, budget, 25, 4)])
+        assert boot.mean[k] == finals.mean()
+        assert boot.variance[k] == finals.var()
+        assert boot.quantiles["q25"][k] == np.quantile(finals, 0.25)
+        assert boot.quantiles["q75"][k] == np.quantile(finals, 0.75)
+    with pytest.raises(ValueError, match="at least one budget"):
+        exact_budget_curve(lib, [])
+    with pytest.raises(ValueError, match="at least one budget"):
+        bootstrap_budget_curve(lib, [], repetitions=25, rng_seed=4)
 
 
 def test_bootstrap_traces_are_monotone_and_converge_to_exact():

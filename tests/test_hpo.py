@@ -3,7 +3,7 @@ import pytest
 
 from tunebench.core import Direction, Trial, TrialLibrary
 from tunebench.estimator import bootstrap_runs
-from tunebench.hpo import precompute_library, random_search, time_budget_curve, train_trial
+from tunebench.hpo import random_search, time_budget_curve, train_trial
 from tunebench.optim import optimizer_spec
 from tunebench.priors import default_priors
 from tunebench.tasks import make_task
@@ -97,6 +97,7 @@ def test_random_search_is_reproducible():
     a = random_search(opt, prior, task, budget=5, master_seed=42)
     b = random_search(opt, prior, task, budget=5, master_seed=42)
     c = random_search(opt, prior, task, budget=5, master_seed=43)
+    assert isinstance(a, TrialLibrary) and a.direction is Direction.MINIMIZE
     assert a.trials == b.trials
     assert a.trials != c.trials
     assert len(a.trials) == 5
@@ -110,16 +111,6 @@ def test_random_search_rejects_wrong_prior():
         random_search(optimizer_spec("sgd-lr"), default_priors("adam"), task, 3, 0)
     with pytest.raises(ValueError, match="budget"):
         random_search(optimizer_spec("sgd-lr"), default_priors("sgd-lr"), task, 0, 0)
-
-
-def test_precompute_library_matches_search():
-    task = small_quadratic()
-    opt = optimizer_spec("sgd-lr")
-    prior = default_priors("sgd-lr")
-    lib = precompute_library(opt, prior, task, size=4, master_seed=9)
-    assert isinstance(lib, TrialLibrary)
-    assert lib.trials == random_search(opt, prior, task, 4, 9).trials
-    assert lib.direction is Direction.MINIMIZE
 
 
 # --- time-budget simulation ----------------------------------------------------

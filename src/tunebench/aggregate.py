@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from tunebench.core import Direction, IncumbentTrace, TrialLibrary, substream
+from tunebench.core import Direction, IncumbentTrace, RepetitionStreams, TrialLibrary
 
 _WEIGHT_TOL = 1e-12
 
@@ -189,8 +189,10 @@ def probability_of_best(
     Every repetition gives each optimizer ``budget`` draws from its own
     library (without replacement when the library is large enough, with
     replacement otherwise) and the best draw wins; exact ties split the win
-    equally.  All optimizers share the repetition's stream key, so identical
-    libraries produce identical draws and tie on every repetition.
+    equally.  Repetition r draws from the stream keyed (rng_seed, r) for
+    every optimizer, so libraries of equal size share their draw indices:
+    they are drawn once per size and applied to all those libraries at
+    once, and identical libraries tie on every repetition.
     """
     if len(libraries) < 2:
         raise ValueError("need at least two optimizers to compare")
@@ -203,19 +205,30 @@ def probability_of_best(
         raise ValueError("budget and repetitions must be positive integers")
 
     objectives = [lib.analysis_objectives() for lib in libraries]
-    sizes = [arr.size for arr in objectives]
+    by_size: dict[int, list[int]] = {}
+    for j, arr in enumerate(objectives):
+        by_size.setdefault(arr.size, []).append(j)
+    # (size, optimizer positions, their objectives stacked as rows)
+    groups = [
+        (n, np.array(members), np.vstack([objectives[j] for j in members]))
+        for n, members in by_size.items()
+    ]
+    minimize = direction is Direction.MINIMIZE
+    streams = RepetitionStreams(rng_seed, repetitions)
     wins = np.zeros(len(libraries))
     best = np.empty(len(libraries))
     for r in range(repetitions):
-        for j, (arr, n) in enumerate(zip(objectives, sizes)):
-            gen = substream(rng_seed, r)
+        for n, members, stack in groups:
+            gen = streams[r]
             if budget <= n:
                 idx = gen.choice(n, size=budget, replace=False)
             else:
                 idx = gen.integers(0, n, size=budget)
-            drawn = arr[idx]
-            best[j] = drawn.min() if direction is Direction.MINIMIZE else drawn.max()
-        top = best.min() if direction is Direction.MINIMIZE else best.max()
+            drawn = stack[:, idx]
+            # a row's min may carry the other zero sign than a 1-D min would;
+            # the tie test compares with ==, so the wins do not depend on it
+            best[members] = drawn.min(axis=1) if minimize else drawn.max(axis=1)
+        top = best.min() if minimize else best.max()
         tied = np.nonzero(best == top)[0]
         wins[tied] += 1.0 / tied.size
     return wins / repetitions

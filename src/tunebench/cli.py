@@ -97,6 +97,11 @@ def _read_csv(path: Path) -> tuple[tuple[str, ...], list[list[str]]]:
         raise CliError(EXIT_CONFIG, str(err))
     if not rows:
         raise CliError(EXIT_PARSE, f"{path}: no data rows")
+    for row in rows:
+        if len(row) != len(header):
+            raise CliError(
+                EXIT_PARSE, f"{path}: row with {len(row)} cells under a {len(header)}-column header"
+            )
     return header, rows
 
 
@@ -554,8 +559,6 @@ def _read_curves(path: Path):
     directions: dict[str, str] = {}
     points: dict[tuple[str, str], list[tuple[int, float]]] = {}
     for row in raw_rows:
-        if len(row) != len(header):
-            raise CliError(EXIT_PARSE, f"{path}: row with {len(row)} cells")
         oid, tid, direction = row[0], row[1], row[2]
         try:
             budget = int(row[3])

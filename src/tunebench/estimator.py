@@ -20,8 +20,8 @@ from tunebench.core import (
     BudgetCurve,
     Direction,
     IncumbentTrace,
+    RepetitionStreams,
     TrialLibrary,
-    substream,
 )
 
 # E[best^2] - E[best]^2 in floats can land a hair below zero for degenerate
@@ -192,15 +192,18 @@ def bootstrap_runs(
     Repetition r draws its indices from the stream keyed (rng_seed, r), so
     repetitions are independent of execution order and can be parallelized
     or compared across budgets: a longer budget extends the same draws.
+    The R streams come from one ``RepetitionStreams``, as in the other
+    Monte-Carlo routines.
     """
     budget = _checked_budget(budget)
     if repetitions < 1:
         raise ValueError("repetitions must be a positive integer")
     objectives = library.analysis_objectives()
     n = objectives.size
+    streams = RepetitionStreams(rng_seed, repetitions)
     indices = np.empty((repetitions, budget), dtype=np.int64)
     for r in range(repetitions):
-        indices[r] = substream(rng_seed, r).integers(0, n, size=budget)
+        indices[r] = streams[r].integers(0, n, size=budget)
     draws = objectives[indices]
     if library.direction is Direction.MINIMIZE:
         running = np.minimum.accumulate(draws, axis=1)

@@ -17,6 +17,7 @@ import numpy as np
 from tunebench.core import (
     BudgetCurve,
     Direction,
+    RepetitionStreams,
     Trial,
     TrialLibrary,
     substream,
@@ -188,7 +189,9 @@ def time_budget_curve(
     completed trial hold the worst sentinel.  Run r of every optimizer uses
     the stream keyed (rng_seed, r), so optimizers of equal library size see
     identical draw sequences and cheaper trials simply reach further into
-    the same sequence.
+    the same sequence.  The R streams are built once per call and rewound
+    for each library, which is simulated in full before the next one, so
+    only one repetitions x intervals sample is held at a time.
     """
     if not libraries:
         raise ValueError("need at least one library")
@@ -197,37 +200,39 @@ def time_budget_curve(
     task_id = libraries[0].task_id
     direction = libraries[0].direction
     seen: set[str] = set()
+    costs = []
     for lib in libraries:
         if lib.task_id != task_id or lib.direction is not direction:
             raise ValueError("libraries must share one task and direction")
         if lib.optimizer_id in seen:
             raise ValueError(f"duplicate optimizer id {lib.optimizer_id!r}")
         seen.add(lib.optimizer_id)
-        if np.any(lib.update_steps() < 1):
+        costs.append(lib.update_steps())
+        if np.any(costs[-1] < 1):
             raise ValueError("every trial must record update_steps >= 1")
 
-    max_steps = min(int(lib.update_steps().sum()) for lib in libraries)
+    max_steps = min(int(c.sum()) for c in costs)
     boundaries = max_steps * np.arange(1, intervals + 1) / intervals
 
     curves: dict[str, BudgetCurve] = {}
-    minimize = direction is Direction.MINIMIZE
-    for lib in libraries:
-        costs = lib.update_steps()
+    best_so_far = np.minimum if direction is Direction.MINIMIZE else np.maximum
+    streams = RepetitionStreams(rng_seed, repetitions)
+    for lib, cost in zip(libraries, costs):
         objectives = lib.analysis_objectives()
-        sentinel = lib.worst_sentinel()
         n = objectives.size
-        draws = int(max_steps // int(costs.min())) + 1
-        values = np.empty((repetitions, intervals))
+        draws = int(max_steps // int(cost.min())) + 1
+        # running[k] is the incumbent after k draws; running[0], before any
+        # trial has finished, is the sentinel
+        running = np.empty(draws + 1)
+        running[0] = lib.worst_sentinel()
+        # one row per interval, so from_samples needs no transposed copy
+        values = np.empty((intervals, repetitions))
         for r in range(repetitions):
-            idx = substream(rng_seed, r).integers(0, n, size=draws)
-            cumulative = np.cumsum(costs[idx])
-            completed = np.searchsorted(cumulative, boundaries, side="right")
-            picked = objectives[idx]
-            running = np.minimum.accumulate(picked) if minimize else np.maximum.accumulate(picked)
-            values[r] = np.where(
-                completed > 0, running[np.maximum(completed - 1, 0)], sentinel
-            )
+            idx = streams[r].integers(0, n, size=draws)
+            completed = np.searchsorted(np.cumsum(cost[idx]), boundaries, side="right")
+            best_so_far.accumulate(objectives[idx], out=running[1:])
+            values[:, r] = running[completed]
         curves[lib.optimizer_id] = BudgetCurve.from_samples(
-            np.arange(1, intervals + 1, dtype=np.int64), values
+            np.arange(1, intervals + 1, dtype=np.int64), values.T
         )
     return TimeBudgetResult(max_steps=max_steps, boundaries=boundaries, curves=curves)

@@ -17,7 +17,7 @@ from tunebench.aggregate import (
     weights_cpu,
     weights_one_hot,
 )
-from tunebench.core import Direction, Trial, TrialLibrary, incumbents
+from tunebench.core import Direction, Trial, TrialLibrary, incumbents, substream
 
 MIN, MAX = Direction.MINIMIZE, Direction.MAXIMIZE
 
@@ -244,3 +244,45 @@ def test_probability_deterministic_per_seed():
     assert np.array_equal(p1, p2)
     assert not np.array_equal(p1, p3)
     assert 0.3 < p1[0] < 0.7
+
+
+def reference_probability_of_best(libraries, budget, repetitions, rng_seed):
+    """One fresh stream per (repetition, optimizer), one library at a time."""
+    minimize = libraries[0].direction is MIN
+    wins = np.zeros(len(libraries))
+    best = np.empty(len(libraries))
+    for r in range(repetitions):
+        for j, lib in enumerate(libraries):
+            arr = lib.analysis_objectives()
+            n = arr.size
+            gen = substream(rng_seed, r)
+            if budget <= n:
+                idx = gen.choice(n, size=budget, replace=False)
+            else:
+                idx = gen.integers(0, n, size=budget)
+            best[j] = arr[idx].min() if minimize else arr[idx].max()
+        top = best.min() if minimize else best.max()
+        tied = np.nonzero(best == top)[0]
+        wins[tied] += 1.0 / tied.size
+    return wins / repetitions
+
+
+@pytest.mark.parametrize("direction", [MIN, MAX])
+@pytest.mark.parametrize("budget", [1, 5, 9])
+def test_probability_of_best_matches_per_optimizer_reference(direction, budget):
+    # sizes 4, 7 and 12: at budget 5 the 4-trial libraries are drawn with
+    # replacement and the others without; quartered integers give ties
+    rng = np.random.default_rng(31)
+    shared = rng.integers(0, 12, size=7) / 4.0
+    libraries = [
+        library_of(rng.integers(0, 12, size=4) / 4.0, optimizer="a", direction=direction),
+        library_of(shared, optimizer="b", direction=direction),
+        library_of(rng.integers(0, 12, size=12) / 4.0, optimizer="c", direction=direction),
+        library_of(shared, optimizer="twin", direction=direction),
+        library_of(rng.integers(0, 12, size=4) / 4.0, optimizer="d", direction=direction),
+        library_of(rng.integers(0, 12, size=7) / 4.0, optimizer="e", direction=direction),
+    ]
+    probs = probability_of_best(libraries, budget, repetitions=150, rng_seed=6)
+    reference = reference_probability_of_best(libraries, budget, 150, 6)
+    assert probs.tobytes() == reference.tobytes()
+    assert probs[1] == probs[3]  # identical libraries tie exactly

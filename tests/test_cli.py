@@ -401,6 +401,9 @@ DEGENERATE = {
     "prob_best_file_twice": (["prob-best", "{a}", "{b}", "{b}"], None, 2, "named twice"),
     "time_curve_file_twice": (["time-curve", "{a}", "{b}", "{a}"], None, 2, "named twice"),
     "calibrate_file_twice": (["calibrate", "{a}", "{a}"], None, 2, "named twice"),
+    "plot_short_row": (
+        ["plot", "{config}"], ",".join(cli._PROB_HEADER) + "\nt,1,a\n",
+        6, "row with 3 cells"),
 }
 
 

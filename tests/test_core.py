@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tunebench.core import (
+    BudgetCurve,
     Direction,
     IncumbentTrace,
     Trial,
@@ -150,3 +151,33 @@ def test_update_steps_array():
     steps = lib.update_steps()
     assert steps.dtype == np.int64
     assert np.array_equal(steps, [4, 7])
+
+
+def per_column_stats(samples):
+    columns = [samples[:, k] for k in range(samples.shape[1])]
+    return [
+        np.array([f(c) for c in columns])
+        for f in (
+            np.mean, np.var,
+            lambda c: np.quantile(c, 0.25),
+            lambda c: np.quantile(c, 0.50),
+            lambda c: np.quantile(c, 0.75),
+        )
+    ]
+
+
+@pytest.mark.parametrize("repetitions", [1, 2, 7, 8, 20, 101, 1000])
+def test_from_samples_matches_per_column_statistics_bitwise(repetitions):
+    rng = np.random.default_rng(repetitions)
+    shape = (repetitions, 40)
+    sample_sets = [
+        rng.standard_normal(shape),
+        rng.integers(-2, 3, size=shape) / 2.0,  # many ties
+        rng.choice([-0.0, 0.0, 1.0, -1.0], size=shape),
+        rng.choice([-0.0, 0.0], size=shape),
+    ]
+    for samples in sample_sets:
+        curve = BudgetCurve.from_samples(np.arange(1, 41), samples)
+        got = [curve.mean, curve.variance, *(curve.quantiles[k] for k in ("q25", "q50", "q75"))]
+        for mine, reference in zip(got, per_column_stats(samples)):
+            assert mine.tobytes() == reference.tobytes()

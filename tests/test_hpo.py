@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tunebench.core import Direction, Trial, TrialLibrary
+from tunebench.core import Direction, Trial, TrialLibrary, substream
 from tunebench.estimator import bootstrap_runs
 from tunebench.hpo import random_search, time_budget_curve, train_trial
 from tunebench.optim import optimizer_spec
@@ -131,6 +131,65 @@ def test_unit_costs_reproduce_bootstrap_statistics_bitwise():
         assert curve.quantiles["q25"][b - 1] == np.quantile(finals, 0.25)
         assert curve.quantiles["q50"][b - 1] == np.quantile(finals, 0.50)
         assert curve.quantiles["q75"][b - 1] == np.quantile(finals, 0.75)
+
+
+def reference_time_curve(libraries, intervals, repetitions, rng_seed):
+    """One fresh stream per (library, repetition); statistics per interval column."""
+    max_steps = min(int(lib.update_steps().sum()) for lib in libraries)
+    boundaries = max_steps * np.arange(1, intervals + 1) / intervals
+    accumulate = (
+        np.minimum.accumulate if libraries[0].direction is Direction.MINIMIZE
+        else np.maximum.accumulate
+    )
+    stats = {}
+    for lib in libraries:
+        costs = lib.update_steps()
+        objectives = lib.analysis_objectives()
+        draws = max_steps // int(costs.min()) + 1
+        values = np.empty((repetitions, intervals))
+        for r in range(repetitions):
+            idx = substream(rng_seed, r).integers(0, objectives.size, size=draws)
+            completed = np.searchsorted(np.cumsum(costs[idx]), boundaries, side="right")
+            running = accumulate(objectives[idx])
+            values[r] = np.where(
+                completed > 0, running[np.maximum(completed - 1, 0)], lib.worst_sentinel()
+            )
+        columns = [values[:, k] for k in range(intervals)]
+        stats[lib.optimizer_id] = [
+            np.array([f(c) for c in columns])
+            for f in (
+                np.mean, np.var,
+                lambda c: np.quantile(c, 0.25),
+                lambda c: np.quantile(c, 0.50),
+                lambda c: np.quantile(c, 0.75),
+            )
+        ]
+    return stats
+
+
+@pytest.mark.parametrize("direction", [Direction.MINIMIZE, Direction.MAXIMIZE])
+def test_time_curve_matches_per_library_reference(direction):
+    rng = np.random.default_rng(17)
+
+    def library(optimizer_id, size, diverged):
+        return TrialLibrary.from_trials([
+            Trial(
+                optimizer_id=optimizer_id, task_id="synthetic", seed=i, config={},
+                objective=None if i < diverged else float(rng.integers(0, 9)) / 8.0,
+                direction=direction, update_steps=int(rng.integers(1, 6)),
+                epochs_run=1, diverged=i < diverged,
+            )
+            for i in range(size)
+        ])
+
+    libraries = [library("a", 5, 0), library("b", 9, 3), library("c", 5, 1), library("d", 14, 0)]
+    result = time_budget_curve(libraries, intervals=11, repetitions=60, rng_seed=4)
+    reference = reference_time_curve(libraries, 11, 60, 4)
+    for lib in libraries:
+        curve = result.curves[lib.optimizer_id]
+        got = [curve.mean, curve.variance, *(curve.quantiles[k] for k in ("q25", "q50", "q75"))]
+        for mine, theirs in zip(got, reference[lib.optimizer_id]):
+            assert mine.tobytes() == theirs.tobytes(), lib.optimizer_id
 
 
 def test_cheaper_trials_reach_further_into_the_same_stream():

@@ -5,22 +5,8 @@ order-statistics estimators turn those libraries into expected-quality-at-budget
 curves; aggregation metrics condense the curves into tunability scores.
 """
 
-from tunebench.core import (
-    BudgetCurve,
-    Direction,
-    IncumbentTrace,
-    Trial,
-    TrialLibrary,
-    incumbents,
-)
+from tunebench.core import BudgetCurve, Direction, Trial, TrialLibrary
 
-__all__ = [
-    "BudgetCurve",
-    "Direction",
-    "IncumbentTrace",
-    "Trial",
-    "TrialLibrary",
-    "incumbents",
-]
+__all__ = ["BudgetCurve", "Direction", "Trial", "TrialLibrary"]
 
 __version__ = "0.1.0"

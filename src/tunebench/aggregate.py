@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from tunebench.core import Direction, IncumbentTrace, RepetitionStreams, TrialLibrary
+from tunebench.core import Direction, RepetitionStreams, TrialLibrary
 
 _WEIGHT_TOL = 1e-12
 
@@ -79,8 +79,6 @@ def weights_cpu(horizon: int) -> WeightScheme:
 
 
 def _trace_values(trace) -> np.ndarray:
-    if isinstance(trace, IncumbentTrace):
-        return trace.values
     arr = np.asarray(trace, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("trace must be a nonempty 1-d sequence")
@@ -107,7 +105,7 @@ def shifted_scores(trace, direction: Direction) -> tuple[np.ndarray, float]:
     callers that report threshold metrics should record the delta alongside
     them.
     """
-    values = trace.values if isinstance(trace, IncumbentTrace) else np.asarray(trace, dtype=float)
+    values = np.asarray(trace, dtype=float)
     if values.ndim not in (1, 2) or values.size == 0:
         raise ValueError("scores need a nonempty trace or optimizer x budget matrix")
     if direction is Direction.MAXIMIZE:
@@ -180,19 +178,21 @@ def relative_summary(perf: np.ndarray) -> np.ndarray:
 
 def probability_of_best(
     libraries: Sequence[TrialLibrary],
-    budget: int,
+    budgets: Sequence[int],
     repetitions: int,
     rng_seed: int,
 ) -> np.ndarray:
     """Monte-Carlo probability that each optimizer wins a K-trial shootout.
 
-    Every repetition gives each optimizer ``budget`` draws from its own
-    library (without replacement when the library is large enough, with
-    replacement otherwise) and the best draw wins; exact ties split the win
-    equally.  Repetition r draws from the stream keyed (rng_seed, r) for
-    every optimizer, so libraries of equal size share their draw indices:
-    they are drawn once per size and applied to all those libraries at
-    once, and identical libraries tie on every repetition.
+    Returns one row per budget K and one column per library.  Every
+    repetition gives each optimizer K draws from its own library (without
+    replacement when the library is large enough, with replacement
+    otherwise) and the best draw wins; exact ties split the win equally.
+    Repetition r draws from the stream keyed (rng_seed, r) for every
+    optimizer and budget, so libraries of equal size share their draw
+    indices: they are drawn once per size and applied to all those
+    libraries at once, and identical libraries tie on every repetition.
+    The R streams are built once per call, whatever the number of budgets.
     """
     if len(libraries) < 2:
         raise ValueError("need at least two optimizers to compare")
@@ -201,8 +201,8 @@ def probability_of_best(
     for lib in libraries:
         if lib.task_id != task_id or lib.direction is not direction:
             raise ValueError("libraries must share one task and direction")
-    if budget < 1 or repetitions < 1:
-        raise ValueError("budget and repetitions must be positive integers")
+    if not len(budgets) or min(budgets) < 1 or repetitions < 1:
+        raise ValueError("budgets and repetitions must be positive integers")
 
     objectives = [lib.analysis_objectives() for lib in libraries]
     by_size: dict[int, list[int]] = {}
@@ -215,22 +215,23 @@ def probability_of_best(
     ]
     minimize = direction is Direction.MINIMIZE
     streams = RepetitionStreams(rng_seed, repetitions)
-    wins = np.zeros(len(libraries))
+    wins = np.zeros((len(budgets), len(libraries)))
     best = np.empty(len(libraries))
     for r in range(repetitions):
-        for n, members, stack in groups:
-            gen = streams[r]
-            if budget <= n:
-                idx = gen.choice(n, size=budget, replace=False)
-            else:
-                idx = gen.integers(0, n, size=budget)
-            drawn = stack[:, idx]
-            # a row's min may carry the other zero sign than a 1-D min would;
-            # the tie test compares with ==, so the wins do not depend on it
-            best[members] = drawn.min(axis=1) if minimize else drawn.max(axis=1)
-        top = best.min() if minimize else best.max()
-        tied = np.nonzero(best == top)[0]
-        wins[tied] += 1.0 / tied.size
+        for k, budget in enumerate(budgets):
+            for n, members, stack in groups:
+                gen = streams[r]
+                if budget <= n:
+                    idx = gen.choice(n, size=budget, replace=False)
+                else:
+                    idx = gen.integers(0, n, size=budget)
+                drawn = stack[:, idx]
+                # a row's min may carry the other zero sign than a 1-D min would;
+                # the tie test compares with ==, so the wins do not depend on it
+                best[members] = drawn.min(axis=1) if minimize else drawn.max(axis=1)
+            top = best.min() if minimize else best.max()
+            tied = np.nonzero(best == top)[0]
+            wins[k, tied] += 1.0 / tied.size
     return wins / repetitions
 
 

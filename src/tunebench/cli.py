@@ -12,9 +12,12 @@ written with 17 significant digits, row order is fixed, and reruns
 produce byte-identical files.
 
 Exit codes: 0 success, 2 bad configuration or usage (including a name or
-trial file given twice and out-of-range task sizes), 3 calibration
-failure, 4 inconsistent result grid or a library with no finished trials,
-5 missing record fields, 6 malformed input files.
+trial file given twice, out-of-range task sizes, an unreadable file, a
+search config that is not UTF-8, and an out-of-range numeric flag, checked
+before any file is read), 3 calibration failure, 4 inconsistent result grid
+or a library with no finished trials, 5 missing record fields, 6 malformed
+input files (including trial, prior and CSV files that are not UTF-8).
+Every error is one ``tunebench: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -84,17 +89,32 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _read_csv(path: Path) -> tuple[tuple[str, ...], list[list[str]]]:
+def _read_text(path, code: int, newline: str | None = None, context: str = "") -> str:
+    """The whole text of a UTF-8 file.
+
+    A file that cannot be read exits 2, its reason after ``context``; bytes
+    that are not UTF-8 exit with ``code``, the code of the file's other
+    parse errors.
+    """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = tuple(next(reader))
-            except StopIteration:
-                raise CliError(EXIT_PARSE, f"{path}: empty CSV")
-            rows = [row for row in reader if row]
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
     except OSError as err:
-        raise CliError(EXIT_CONFIG, str(err))
+        raise CliError(EXIT_CONFIG, f"{context}{err}")
+    except UnicodeDecodeError as err:
+        raise CliError(code, f"{path}: not UTF-8 text ({err.reason} at byte {err.start})")
+
+
+def _read_csv(path: Path) -> tuple[tuple[str, ...], list[list[str]]]:
+    # newline="" keeps line breaks inside quoted cells, as the csv module asks
+    reader = csv.reader(io.StringIO(_read_text(path, EXIT_PARSE, newline=""), newline=""))
+    try:
+        header = tuple(next(reader))
+        rows = [row for row in reader if row]
+    except StopIteration:
+        raise CliError(EXIT_PARSE, f"{path}: empty CSV")
+    except csv.Error as err:
+        raise CliError(EXIT_PARSE, f"{path}: {err}")
     if not rows:
         raise CliError(EXIT_PARSE, f"{path}: no data rows")
     for row in rows:
@@ -205,12 +225,7 @@ def write_trials(path: Path, trials: Sequence[Trial]) -> None:
 
 def read_trials(path: Path) -> list[Trial]:
     trials = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as err:
-        raise CliError(EXIT_CONFIG, str(err))
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_text(path, EXIT_PARSE).split("\n"), start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
@@ -393,10 +408,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as err:
-        raise CliError(EXIT_CONFIG, str(err))
+    text = _read_text(args.config, EXIT_CONFIG)
     optimizers, tasks, trials, seed, overrides = parse_search_config(text, args.config)
 
     specs = []
@@ -410,10 +422,9 @@ def cmd_generate(args) -> int:
     for spec in specs:
         if args.priors is not None:
             prior_path = Path(args.priors) / f"prior_{spec.optimizer_id}.json"
-            try:
-                text = prior_path.read_text(encoding="utf-8")
-            except OSError as err:
-                raise CliError(EXIT_CONFIG, f"no prior file for {spec.optimizer_id!r}: {err}")
+            text = _read_text(
+                prior_path, EXIT_PARSE, context=f"no prior file for {spec.optimizer_id!r}: "
+            )
             _, priors[spec.optimizer_id] = prior_from_json(text, str(prior_path))
         else:
             priors[spec.optimizer_id] = default_priors(spec.optimizer_id)
@@ -443,8 +454,6 @@ def cmd_generate(args) -> int:
 # --- calibrate ---------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    if args.retention <= 0:
-        raise CliError(EXIT_CONFIG, "--retention must be positive")
     grouped: dict[str, list[Trial]] = {}
     for trial in _read_trial_files(args.files):
         grouped.setdefault(trial.optimizer_id, []).append(trial)
@@ -511,10 +520,8 @@ def _effective_budgets(budgets: Sequence[int], size: int, label: str) -> list[in
 
 
 def cmd_analyze(args) -> int:
-    if args.bootstrap is not None and args.bootstrap < 1:
-        raise CliError(EXIT_CONFIG, "--bootstrap must be a positive repetition count")
-    libraries = _load_libraries(args.files)
     budgets = None if args.budget is None else parse_budgets(args.budget)
+    libraries = _load_libraries(args.files)
     if budgets is None:
         budgets = list(range(1, min(len(lib) for lib in libraries.values()) + 1))
     rows = []
@@ -545,44 +552,44 @@ _TUNABILITY_HEADER = ("task", "optimizer", "scheme", "value")
 _ALPHA_HEADER = ("task", "optimizer", "metric", "value", "score_shift")
 
 
-def _read_curves(path: Path):
-    """Parse an analyze CSV back into per-pair mean traces.
+def _grid(pairs, what: str) -> tuple[list[str], list[str]]:
+    """Task and optimizer ids of (optimizer, task) pairs, in first-seen order.
 
-    Returns (task order, optimizer order, direction per task,
-    means[task][optimizer] as arrays over the common budget grid, budgets).
+    Every task must have a ``what`` for every optimizer; a gap exits 4.
+    """
+    optimizers = list(dict.fromkeys(oid for oid, _ in pairs))
+    tasks = list(dict.fromkeys(tid for _, tid in pairs))
+    for tid in tasks:
+        for oid in optimizers:
+            if (oid, tid) not in pairs:
+                raise CliError(EXIT_GRID, f"task {tid!r} has no {what} for optimizer {oid!r}")
+    return tasks, optimizers
+
+
+def _read_curves(path: Path):
+    """Parse an analyze CSV back into per-task mean traces.
+
+    Returns (task order, optimizer order, direction per task, an optimizer x
+    budget matrix of means per task over the common budgets 1..T, T).
     """
     header, raw_rows = _read_csv(path)
     if header != _CURVE_HEADER:
         raise CliError(EXIT_PARSE, f"{path}: expected analyze output columns {_CURVE_HEADER}")
-    tasks: list[str] = []
-    optimizers: list[str] = []
     directions: dict[str, str] = {}
     points: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for row in raw_rows:
-        oid, tid, direction = row[0], row[1], row[2]
+    for oid, tid, direction, budget, mean, *_ in raw_rows:
         try:
-            budget = int(row[3])
-            mean = float(row[4])
+            point = (int(budget), float(mean))
         except ValueError:
             raise CliError(EXIT_PARSE, f"{path}: non-numeric budget or mean")
-        if tid not in tasks:
-            tasks.append(tid)
-        if oid not in optimizers:
-            optimizers.append(oid)
         if directions.setdefault(tid, direction) != direction:
             raise CliError(EXIT_GRID, f"{path}: conflicting directions for task {tid!r}")
-        points.setdefault((tid, oid), []).append((budget, mean))
-
-    grids = {key: tuple(b for b, _ in value) for key, value in points.items()}
-    grid = None
-    for tid in tasks:
-        for oid in optimizers:
-            if (tid, oid) not in grids:
-                raise CliError(EXIT_GRID, f"missing curve for optimizer {oid!r} on task {tid!r}")
-            if grid is None:
-                grid = grids[(tid, oid)]
-            elif grids[(tid, oid)] != grid:
-                raise CliError(EXIT_GRID, "curves do not share one budget grid")
+        points.setdefault((oid, tid), []).append(point)
+    tasks, optimizers = _grid(points, "curve")
+    grids = {tuple(b for b, _ in value) for value in points.values()}
+    if len(grids) > 1:
+        raise CliError(EXIT_GRID, "curves do not share one budget grid")
+    (grid,) = grids
     horizon = len(grid)
     if grid != tuple(range(1, horizon + 1)):
         raise CliError(
@@ -590,7 +597,7 @@ def _read_curves(path: Path):
             "trace metrics need contiguous budgets 1..T; rerun analyze with --budget 1..T",
         )
     means = {
-        tid: {oid: np.array([m for _, m in points[(tid, oid)]]) for oid in optimizers}
+        tid: np.array([[m for _, m in points[(oid, tid)]] for oid in optimizers])
         for tid in tasks
     }
     return tasks, optimizers, directions, means, horizon
@@ -603,9 +610,8 @@ def cmd_summarize(args) -> int:
     scores: dict[str, np.ndarray] = {}
     shifts: dict[str, float] = {}
     for tid in tasks:
-        matrix = np.vstack([means[tid][oid] for oid in optimizers])
         try:
-            scores[tid], shifts[tid] = aggregate.shifted_scores(matrix, Direction(directions[tid]))
+            scores[tid], shifts[tid] = aggregate.shifted_scores(means[tid], Direction(directions[tid]))
         except ValueError as err:
             raise CliError(EXIT_GRID, f"task {tid!r}: {err}")
 
@@ -633,8 +639,7 @@ def cmd_summarize(args) -> int:
     schemes.append(("cpu", aggregate.weights_cpu(horizon)))
     tunability_rows = []
     for tid in tasks:
-        for oid in optimizers:
-            trace = means[tid][oid]
+        for oid, trace in zip(optimizers, means[tid]):
             for name, scheme in schemes:
                 tunability_rows.append((tid, oid, name, aggregate.omega_tunability(trace, scheme)))
     tunability_path = out / "tunability.csv"
@@ -643,8 +648,7 @@ def cmd_summarize(args) -> int:
     alpha_rows = []
     for tid in tasks:
         direction = Direction(directions[tid])
-        for oid in optimizers:
-            trace = means[tid][oid]
+        for oid, trace in zip(optimizers, means[tid]):
             try:
                 _, shift = aggregate.shifted_scores(trace, direction)
                 for alpha in (0.90, 0.95, 0.99):
@@ -668,63 +672,38 @@ def cmd_summarize(args) -> int:
 _PROB_HEADER = ("task", "budget", "optimizer", "probability", "with_replacement")
 
 
-def _group_by_task(
-    libraries: dict[tuple[str, str], TrialLibrary],
-) -> tuple[list[str], list[str], dict[str, dict[str, TrialLibrary]]]:
-    tasks: list[str] = []
-    optimizers: list[str] = []
-    by_task: dict[str, dict[str, TrialLibrary]] = {}
-    for (oid, tid), lib in libraries.items():
-        if tid not in tasks:
-            tasks.append(tid)
-        if oid not in optimizers:
-            optimizers.append(oid)
-        by_task.setdefault(tid, {})[oid] = lib
-    for tid in tasks:
-        missing = [oid for oid in optimizers if oid not in by_task[tid]]
-        if missing:
-            raise CliError(
-                EXIT_GRID, f"task {tid!r} has no library for optimizer {missing[0]!r}"
-            )
-    return tasks, optimizers, by_task
-
-
 def cmd_prob_best(args) -> int:
+    budgets = None if args.budget is None else parse_budgets(args.budget)
     libraries = _load_libraries(args.files)
-    tasks, optimizers, by_task = _group_by_task(libraries)
+    tasks, optimizers = _grid(libraries, "library")
     if len(optimizers) < 2:
         raise CliError(EXIT_GRID, "prob-best needs libraries for at least two optimizers")
-    if args.repetitions < 1:
-        raise CliError(EXIT_CONFIG, "--repetitions must be positive")
-    if args.budget is None:
+    if budgets is None:
         smallest = min(len(lib) for lib in libraries.values())
         budgets = []
         b = 1
         while b <= smallest:
             budgets.append(b)
             b *= 2
-    else:
-        budgets = parse_budgets(args.budget)
 
     rows = []
-    all_probs: dict[tuple[int, str], list[float]] = {}
+    probs = {}
     for tid in tasks:
-        libs = [by_task[tid][oid] for oid in optimizers]
-        for budget in budgets:
-            try:
-                probs = aggregate.probability_of_best(libs, budget, args.repetitions, args.seed)
-            except ValueError as err:
-                raise CliError(EXIT_GRID, f"task {tid!r}: {err}")
-            for oid, lib, prob in zip(optimizers, libs, probs):
-                rows.append(
-                    (tid, budget, oid, prob, aggregate.sampling_replacement(budget, len(lib)))
-                )
-                all_probs.setdefault((budget, oid), []).append(float(prob))
+        libs = [libraries[(oid, tid)] for oid in optimizers]
+        try:
+            probs[tid] = aggregate.probability_of_best(libs, budgets, args.repetitions, args.seed)
+        except ValueError as err:
+            raise CliError(EXIT_GRID, f"task {tid!r}: {err}")
+        for budget, row in zip(budgets, probs[tid]):
+            rows.extend(
+                (tid, budget, oid, prob, aggregate.sampling_replacement(budget, len(lib)))
+                for oid, lib, prob in zip(optimizers, libs, row)
+            )
     if len(tasks) > 1:
-        for budget in budgets:
-            for oid in optimizers:
-                values = all_probs[(budget, oid)]
-                rows.append(("ALL", budget, oid, sum(values) / len(values), ""))
+        # the mean over tasks, summed in task order
+        overall = sum(probs.values()) / len(tasks)
+        for budget, row in zip(budgets, overall):
+            rows.extend(("ALL", budget, oid, prob, "") for oid, prob in zip(optimizers, row))
 
     out = _out_dir(args)
     path = out / "prob_best.csv"
@@ -740,12 +719,10 @@ _TIME_HEADER = ("task", "interval", "steps", "optimizer", "mean", "q25", "q75")
 
 def cmd_time_curve(args) -> int:
     libraries = _load_libraries(args.files)
-    tasks, optimizers, by_task = _group_by_task(libraries)
-    if args.intervals < 1 or args.repetitions < 1:
-        raise CliError(EXIT_CONFIG, "--intervals and --repetitions must be positive")
+    tasks, optimizers = _grid(libraries, "library")
     rows = []
     for tid in tasks:
-        libs = [by_task[tid][oid] for oid in optimizers]
+        libs = [libraries[(oid, tid)] for oid in optimizers]
         try:
             result = time_budget_curve(
                 libs, intervals=args.intervals, repetitions=args.repetitions, rng_seed=args.seed
@@ -1110,6 +1087,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Reject an out-of-range numeric flag (exit 2) before any file is read."""
+    for name, least in (("seed", 0), ("bootstrap", 1), ("repetitions", 1), ("intervals", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise CliError(EXIT_CONFIG, f"--{name} must be >= {least}, got {value}")
+    if not 0.0 < getattr(args, "retention", 1.0) < math.inf:
+        raise CliError(EXIT_CONFIG, f"--retention must be positive and finite, got {args.retention}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -1117,6 +1104,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
+        _check_flags(args)
         return args.func(args)
     except CliError as err:
         print(f"tunebench: error: {err}", file=sys.stderr)

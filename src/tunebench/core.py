@@ -1,4 +1,4 @@
-"""Shared vocabulary: directions, trials, trial libraries, incumbent traces."""
+"""Shared vocabulary: directions, trials, trial libraries, budget curves, substreams."""
 
 from __future__ import annotations
 
@@ -61,40 +61,6 @@ class Direction(enum.Enum):
 
     MINIMIZE = "min"
     MAXIMIZE = "max"
-
-
-def incumbents(objectives: Sequence[float], direction: Direction) -> "IncumbentTrace":
-    """Running best-so-far of an ordered objective sequence.
-
-    The result is monotone: nonincreasing under MINIMIZE, nondecreasing
-    under MAXIMIZE.
-    """
-    values = np.asarray(objectives, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("objectives must be a nonempty 1-d sequence")
-    if direction is Direction.MINIMIZE:
-        running = np.minimum.accumulate(values)
-    else:
-        running = np.maximum.accumulate(values)
-    return IncumbentTrace(values=running)
-
-
-@dataclass(frozen=True)
-class IncumbentTrace:
-    """Best objective seen after each evaluation of a search run."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
-
-    def __getitem__(self, i):
-        return self.values[i]
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from tunebench.core import (
-    BudgetCurve,
-    Direction,
-    IncumbentTrace,
-    RepetitionStreams,
-    TrialLibrary,
-)
+from tunebench.core import BudgetCurve, Direction, RepetitionStreams, TrialLibrary
 
 # E[best^2] - E[best]^2 in floats can land a hair below zero for degenerate
 # libraries; anything below this is a genuine bug, not roundoff.
@@ -186,8 +180,11 @@ def bootstrap_runs(
     budget: int,
     repetitions: int,
     rng_seed: int,
-) -> list[IncumbentTrace]:
+) -> np.ndarray:
     """Simulate random-search runs by resampling the library with replacement.
+
+    Returns the (repetitions, budget) array whose row r is run r's running
+    best: entry [r, t - 1] is its incumbent after t draws.
 
     Repetition r draws its indices from the stream keyed (rng_seed, r), so
     repetitions are independent of execution order and can be parallelized
@@ -204,12 +201,8 @@ def bootstrap_runs(
     indices = np.empty((repetitions, budget), dtype=np.int64)
     for r in range(repetitions):
         indices[r] = streams[r].integers(0, n, size=budget)
-    draws = objectives[indices]
-    if library.direction is Direction.MINIMIZE:
-        running = np.minimum.accumulate(draws, axis=1)
-    else:
-        running = np.maximum.accumulate(draws, axis=1)
-    return [IncumbentTrace(values=row) for row in running]
+    best_so_far = np.minimum if library.direction is Direction.MINIMIZE else np.maximum
+    return best_so_far.accumulate(objectives[indices], axis=1)
 
 
 def bootstrap_budget_curve(
@@ -226,5 +219,4 @@ def bootstrap_budget_curve(
     """
     budgets = np.array(_checked_budgets(budgets), dtype=np.int64)
     runs = bootstrap_runs(library, int(budgets.max()), repetitions, rng_seed)
-    traces = np.vstack([run.values for run in runs])
-    return BudgetCurve.from_samples(budgets, traces[:, budgets - 1])
+    return BudgetCurve.from_samples(budgets, runs[:, budgets - 1])

@@ -35,14 +35,6 @@ from tunebench.priors import PriorSpec, effective_lr_config
 from tunebench.tasks import TaskInstance
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    objective: float | None
-    diverged: bool
-    update_steps: int
-    epochs_run: int
-
-
 def _finite(*arrays) -> bool:
     return all(np.all(np.isfinite(a)) for a in arrays)
 
@@ -52,7 +44,7 @@ def train_trial(
     config: Mapping[str, float],
     task: TaskInstance,
     trial_seed: int,
-) -> TrialOutcome:
+) -> Trial:
     """Train one configuration with early stopping and divergence detection.
 
     A trial is flagged diverged when training produces a nonfinite loss,
@@ -115,12 +107,16 @@ def train_trial(
         if early_stop(val_losses, patience=2, max_epochs=task.max_epochs):
             break
 
-    objective = None if diverged else task.objective(params)
-    return TrialOutcome(
-        objective=objective,
-        diverged=diverged,
+    return Trial(
+        optimizer_id=opt.optimizer_id,
+        task_id=task.task_id,
+        seed=trial_seed,
+        config=config,
+        objective=None if diverged else task.objective(params),
+        direction=task.direction,
         update_steps=steps,
         epochs_run=len(val_losses),
+        diverged=diverged,
     )
 
 
@@ -144,25 +140,11 @@ def random_search(
             f"prior hyperparameters {sorted(prior.names())} do not match "
             f"optimizer {opt.optimizer_id!r} ({sorted(opt.hyperparameters)})"
         )
-    trials = []
-    for i in range(budget):
-        config = prior.sample(substream(master_seed, i, 0))
-        seed = _trial_seed(master_seed, i)
-        outcome = train_trial(opt, config, task, seed)
-        trials.append(
-            Trial(
-                optimizer_id=opt.optimizer_id,
-                task_id=task.task_id,
-                seed=seed,
-                config=config,
-                objective=outcome.objective,
-                direction=task.direction,
-                update_steps=outcome.update_steps,
-                epochs_run=outcome.epochs_run,
-                diverged=outcome.diverged,
-            )
-        )
-    return TrialLibrary.from_trials(trials)
+    # arguments are evaluated left to right: trial i draws its config, then its seed
+    return TrialLibrary.from_trials([
+        train_trial(opt, prior.sample(substream(master_seed, i, 0)), task, _trial_seed(master_seed, i))
+        for i in range(budget)
+    ])
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ def test_criterion_2_bootstrap_consistency(capsys):
             exact = estimator.expected_best_at(objectives, budget, MIN)
             var = estimator.variance_best_at(objectives, budget, MIN)
             runs = estimator.bootstrap_runs(lib, budget, repetitions, rng_seed=11)
-            boot = np.array([trace.values[-1] for trace in runs]).mean()
+            boot = runs[:, -1].mean()
             se = np.sqrt(var / repetitions)
             assert abs(boot - exact) <= 4.0 * se, (budget, boot, exact, se)
 
@@ -150,7 +150,7 @@ def test_criterion_6_probability_conservation(capsys):
             for k in range(3)
         ]
         for budget in (1, 2, 4, 8, 16):
-            probs = aggregate.probability_of_best(libs, budget, repetitions=1000, rng_seed=5)
+            probs = aggregate.probability_of_best(libs, [budget], repetitions=1000, rng_seed=5)[0]
             assert probs.shape == (3,)
             assert np.all(probs >= 0.0)
             assert abs(probs.sum() - 1.0) <= 1e-12
@@ -158,7 +158,7 @@ def test_criterion_6_probability_conservation(capsys):
         shared = rng.uniform(0.0, 1.0, size=25)
         clones = [library_of(shared, optimizer_id=f"clone-{k}") for k in range(3)]
         for budget in (1, 3, 9):
-            probs = aggregate.probability_of_best(clones, budget, repetitions=1000, rng_seed=6)
+            probs = aggregate.probability_of_best(clones, [budget], repetitions=1000, rng_seed=6)[0]
             assert probs[0] == probs[1] == probs[2]
 
     report(capsys, 6, "win probabilities sum to 1; identical libraries tie exactly", body)

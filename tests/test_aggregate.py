@@ -17,7 +17,7 @@ from tunebench.aggregate import (
     weights_cpu,
     weights_one_hot,
 )
-from tunebench.core import Direction, Trial, TrialLibrary, incumbents, substream
+from tunebench.core import Direction, Trial, TrialLibrary, substream
 
 MIN, MAX = Direction.MINIMIZE, Direction.MAXIMIZE
 
@@ -62,7 +62,7 @@ def test_one_hot_weights():
 
 
 def test_one_hot_final_recovers_last_entry_exactly():
-    trace = incumbents([5.0, 4.0, 4.0, 0.25], MIN)
+    trace = np.minimum.accumulate([5.0, 4.0, 4.0, 0.25])
     value = omega_tunability(trace, weights_one_hot(4, 4))
     assert value == 0.25  # exact, not approx
 
@@ -148,7 +148,7 @@ def test_alpha_tunability_frozen():
     st.floats(0.1, 0.45),
 )
 def test_alpha_tunability_nondecreasing_in_alpha(values, low_alpha):
-    trace = incumbents(values, MIN).values
+    trace = np.minimum.accumulate(values)
     zeta_low = alpha_tunability(trace, low_alpha, MIN)
     zeta_high = alpha_tunability(trace, 2 * low_alpha, MIN)
     assert zeta_low <= zeta_high
@@ -198,7 +198,7 @@ def test_probability_of_best_conserves_mass_and_orders():
     good = library_of(np.linspace(0.0, 1.0, 30), optimizer="good")
     bad = library_of(np.linspace(5.0, 6.0, 30), optimizer="bad")
     mid = library_of(np.linspace(0.5, 5.5, 30), optimizer="mid")
-    probs = probability_of_best([good, mid, bad], budget=4, repetitions=500, rng_seed=0)
+    probs = probability_of_best([good, mid, bad], [4], repetitions=500, rng_seed=0)[0]
     assert abs(probs.sum() - 1.0) <= 1e-12
     assert probs[0] == 1.0  # every draw from `good` beats everything else
     assert probs[2] == 0.0
@@ -207,7 +207,7 @@ def test_probability_of_best_conserves_mass_and_orders():
 def test_probability_identical_libraries_tie_exactly():
     values = np.linspace(0.0, 1.0, 25)
     libs = [library_of(values, optimizer=name) for name in ("a", "b", "c")]
-    probs = probability_of_best(libs, budget=5, repetitions=200, rng_seed=9)
+    probs = probability_of_best(libs, [5], repetitions=200, rng_seed=9)[0]
     assert probs[0] == probs[1] == probs[2]
     assert abs(probs.sum() - 1.0) <= 1e-12
 
@@ -215,7 +215,7 @@ def test_probability_identical_libraries_tie_exactly():
 def test_probability_with_replacement_when_budget_exceeds_library():
     small = library_of([1.0, 2.0], optimizer="small")
     large = library_of(np.linspace(1.5, 3.0, 40), optimizer="large")
-    probs = probability_of_best([small, large], budget=10, repetitions=300, rng_seed=1)
+    probs = probability_of_best([small, large], [10], repetitions=300, rng_seed=1)[0]
     assert abs(probs.sum() - 1.0) <= 1e-12
     assert probs[0] > 0.9  # min of `small` beats min of `large`
     assert sampling_replacement(10, 2)
@@ -225,22 +225,22 @@ def test_probability_with_replacement_when_budget_exceeds_library():
 def test_probability_of_best_validation():
     lib = library_of([1.0, 2.0])
     with pytest.raises(ValueError):
-        probability_of_best([lib], budget=1, repetitions=10, rng_seed=0)
+        probability_of_best([lib], [1], repetitions=10, rng_seed=0)
     other_task = library_of([1.0], optimizer="x", task="elsewhere")
     with pytest.raises(ValueError):
-        probability_of_best([lib, other_task], budget=1, repetitions=10, rng_seed=0)
+        probability_of_best([lib, other_task], [1], repetitions=10, rng_seed=0)
     two = library_of([1.0, 3.0], optimizer="p")
     with pytest.raises(ValueError):
-        probability_of_best([lib, two], budget=0, repetitions=10, rng_seed=0)
+        probability_of_best([lib, two], [0], repetitions=10, rng_seed=0)
 
 
 def test_probability_deterministic_per_seed():
     # a coin-flip matchup: `a` wins exactly when it draws the 0.0 trial
     a = library_of([0.0, 1.0], optimizer="a")
     b = library_of([0.5, 0.6], optimizer="b")
-    p1 = probability_of_best([a, b], budget=1, repetitions=100, rng_seed=4)
-    p2 = probability_of_best([a, b], budget=1, repetitions=100, rng_seed=4)
-    p3 = probability_of_best([a, b], budget=1, repetitions=100, rng_seed=5)
+    p1 = probability_of_best([a, b], [1], repetitions=100, rng_seed=4)[0]
+    p2 = probability_of_best([a, b], [1], repetitions=100, rng_seed=4)[0]
+    p3 = probability_of_best([a, b], [1], repetitions=100, rng_seed=5)[0]
     assert np.array_equal(p1, p2)
     assert not np.array_equal(p1, p3)
     assert 0.3 < p1[0] < 0.7
@@ -282,7 +282,9 @@ def test_probability_of_best_matches_per_optimizer_reference(direction, budget):
         library_of(rng.integers(0, 12, size=4) / 4.0, optimizer="d", direction=direction),
         library_of(rng.integers(0, 12, size=7) / 4.0, optimizer="e", direction=direction),
     ]
-    probs = probability_of_best(libraries, budget, repetitions=150, rng_seed=6)
+    # one call for all three budgets; this case checks its own row
+    probs = probability_of_best(libraries, [1, 5, 9], repetitions=150, rng_seed=6)
+    probs = probs[[1, 5, 9].index(budget)]
     reference = reference_probability_of_best(libraries, budget, 150, 6)
     assert probs.tobytes() == reference.tobytes()
     assert probs[1] == probs[3]  # identical libraries tie exactly

@@ -365,8 +365,10 @@ MLP_CONFIG = CONFIG.replace("quadratic", "mlp").replace("dim = 5\n", "")
 
 # name: (argv, config text, exit code, fragment of the one-line message).
 # In argv, {a} and {b} are two small libraries, {a_again} is {a} reached
-# through "..", {diverged} is a library whose trials all diverged, and
-# {config} is the config text written to a file.
+# through "..", {diverged} is a library whose trials all diverged, {latin1}
+# is a file that is not UTF-8, {priors} is a directory whose sgd-lr prior
+# file is not UTF-8, and {config} is the config text written to a file.
+# The numeric-flag rows name {latin1}, which exits 6 if it is read first.
 DEGENERATE = {
     "analyze_all_diverged": (
         ["analyze", "{diverged}"], None,
@@ -404,6 +406,32 @@ DEGENERATE = {
     "plot_short_row": (
         ["plot", "{config}"], ",".join(cli._PROB_HEADER) + "\nt,1,a\n",
         6, "row with 3 cells"),
+    "plot_cell_over_csv_limit": (
+        ["plot", "{config}"], ",".join(cli._PROB_HEADER) + '\n"' + "x" * 200_000 + '",1,a,1,\n',
+        6, "field larger than field limit"),
+    "analyze_not_utf8": (["analyze", "{latin1}"], None, 6, "not UTF-8 text"),
+    "calibrate_not_utf8": (["calibrate", "{latin1}"], None, 6, "not UTF-8 text"),
+    "summarize_not_utf8": (["summarize", "{latin1}"], None, 6, "not UTF-8 text"),
+    "plot_not_utf8": (["plot", "{latin1}"], None, 6, "not UTF-8 text"),
+    "generate_config_not_utf8": (["generate", "{latin1}"], None, 2, "not UTF-8 text"),
+    "generate_prior_not_utf8": (
+        ["generate", "{config}", "--priors", "{priors}"], CONFIG, 6, "not UTF-8 text"),
+    "generate_prior_missing": (
+        ["generate", "{config}", "--priors", "{priors}/none"], CONFIG,
+        2, "no prior file for 'sgd-lr'"),
+    "bootstrap_negative_seed": (
+        ["analyze", "{latin1}", "--bootstrap", "20", "--seed", "-1"], None,
+        2, "--seed must be >= 0"),
+    "prob_best_negative_seed": (
+        ["prob-best", "{latin1}", "--seed", "-1"], None, 2, "--seed must be >= 0"),
+    "time_curve_negative_seed": (
+        ["time-curve", "{latin1}", "--seed", "-1"], None, 2, "--seed must be >= 0"),
+    "retention_nan": (
+        ["calibrate", "{latin1}", "--retention", "nan"], None,
+        2, "--retention must be positive and finite"),
+    "retention_inf": (
+        ["calibrate", "{latin1}", "--retention", "inf"], None,
+        2, "--retention must be positive and finite"),
 }
 
 
@@ -422,6 +450,11 @@ def test_degenerate_inputs_exit_with_one_line(case, tmp_path, capsys):
         for i in range(3)
     ])
     paths["a_again"] = tmp_path / ".." / tmp_path.name / "a.jsonl"
+    paths["latin1"] = tmp_path / "latin1.txt"
+    paths["latin1"].write_bytes(b"caf\xe9\n")
+    paths["priors"] = tmp_path / "priors"
+    paths["priors"].mkdir()
+    (paths["priors"] / "prior_sgd-lr.json").write_bytes(b"caf\xe9\n")
     paths["config"] = tmp_path / "search.ini"
     if config is not None:
         paths["config"].write_text(config)

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from tunebench.core import (
-    BudgetCurve,
-    Direction,
-    IncumbentTrace,
-    Trial,
-    TrialLibrary,
-    incumbents,
-    substream,
-)
+from tunebench.core import BudgetCurve, Direction, Trial, TrialLibrary, substream
 
 
 def make_trial(objective, diverged=False, steps=3, optimizer="opt", task="task", seed=0):
@@ -40,46 +30,6 @@ def test_substream_reproducible_and_distinct():
     c = substream(7, 2).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_incumbents_minimize():
-    trace = incumbents([3.0, 1.0, 2.0, 0.5], Direction.MINIMIZE)
-    assert np.array_equal(trace.values, [3.0, 1.0, 1.0, 0.5])
-    assert len(trace) == 4
-    assert trace[1] == 1.0
-
-
-def test_incumbents_maximize():
-    trace = incumbents([0.1, 0.5, 0.2], Direction.MAXIMIZE)
-    assert np.array_equal(trace.values, [0.1, 0.5, 0.5])
-
-
-def test_incumbents_rejects_empty():
-    with pytest.raises(ValueError):
-        incumbents([], Direction.MINIMIZE)
-
-
-@given(
-    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
-    st.sampled_from([Direction.MINIMIZE, Direction.MAXIMIZE]),
-)
-def test_incumbents_monotone_and_prefix_stable(values, direction):
-    trace = incumbents(values, direction).values
-    diffs = np.diff(trace)
-    if direction is Direction.MINIMIZE:
-        assert np.all(diffs <= 0)
-    else:
-        assert np.all(diffs >= 0)
-    # the trace over a prefix is the prefix of the trace
-    if len(values) > 1:
-        prefix = incumbents(values[:-1], direction).values
-        assert np.array_equal(trace[:-1], prefix)
-
-
-def test_incumbent_trace_is_read_only():
-    trace = incumbents([2.0, 1.0], Direction.MINIMIZE)
-    with pytest.raises(ValueError):
-        trace.values[0] = 0.0
 
 
 def test_trial_validation():

@@ -224,8 +224,8 @@ def test_bootstrap_is_deterministic_per_seed():
     a = bootstrap_runs(lib, budget=6, repetitions=20, rng_seed=5)
     b = bootstrap_runs(lib, budget=6, repetitions=20, rng_seed=5)
     c = bootstrap_runs(lib, budget=6, repetitions=20, rng_seed=6)
-    assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
-    assert any(not np.array_equal(x.values, y.values) for x, y in zip(a, c))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_bootstrap_budget_extension_shares_prefixes():
@@ -234,8 +234,7 @@ def test_bootstrap_budget_extension_shares_prefixes():
     lib = library_of([0.4, 0.1, 2.0, 0.8, 1.5])
     short = bootstrap_runs(lib, budget=4, repetitions=30, rng_seed=11)
     long = bootstrap_runs(lib, budget=9, repetitions=30, rng_seed=11)
-    for s, l in zip(short, long):
-        assert np.array_equal(s.values, l.values[:4])
+    assert np.array_equal(short, long[:, :4])
 
 
 @pytest.mark.parametrize("direction", [MIN, MAX])
@@ -251,7 +250,7 @@ def test_budget_curves_match_per_budget_reference(direction):
         assert exact.mean[k] == dist.mean()
         assert exact.variance[k] == dist.variance()
         assert exact.quantiles["q50"][k] == dist.quantile(0.5)
-        finals = np.array([t.values[-1] for t in bootstrap_runs(lib, budget, 25, 4)])
+        finals = bootstrap_runs(lib, budget, 25, 4)[:, -1]
         assert boot.mean[k] == finals.mean()
         assert boot.variance[k] == finals.var()
         assert boot.quantiles["q25"][k] == np.quantile(finals, 0.25)
@@ -268,9 +267,8 @@ def test_bootstrap_traces_are_monotone_and_converge_to_exact():
     lib = library_of(values)
     repetitions = 2000
     runs = bootstrap_runs(lib, budget=8, repetitions=repetitions, rng_seed=3)
-    finals = np.array([t.values[-1] for t in runs])
-    for t in runs[:10]:
-        assert np.all(np.diff(t.values) <= 0)
+    finals = runs[:, -1]
+    assert np.all(np.diff(runs[:10], axis=1) <= 0)
     exact = expected_best_at(values, 8, MIN)
     se = np.sqrt(variance_best_at(values, 8, MIN) / repetitions)
     assert abs(finals.mean() - exact) <= 4 * se

@@ -125,7 +125,7 @@ def test_unit_costs_reproduce_bootstrap_statistics_bitwise():
     traces = bootstrap_runs(lib, budget=7, repetitions=reps, rng_seed=seed)
     assert result.max_steps == 7
     for b in range(1, 8):
-        finals = np.array([t.values[b - 1] for t in traces])
+        finals = traces[:, b - 1]
         assert curve.mean[b - 1] == finals.mean()
         assert curve.variance[b - 1] == finals.var()
         assert curve.quantiles["q25"][b - 1] == np.quantile(finals, 0.25)

@@ -60,7 +60,8 @@ def test_each_repetition_stream_is_built_once_per_call(builds):
     libraries = [library_of(rng.standard_normal(10), f"o{j}") for j in range(6)]
     reps = 25
 
-    probability_of_best(libraries, budget=4, repetitions=reps, rng_seed=3)
+    # several budgets in one call still build each stream once
+    probability_of_best(libraries, [1, 4, 12], repetitions=reps, rng_seed=3)
     assert sorted(builds) == [(3, r) for r in range(reps)]
 
     builds.clear()

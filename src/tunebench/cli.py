@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -81,8 +83,25 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+@contextlib.contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """A text file that replaces ``path`` whole, from a sibling temporary file,
+    when the block ends; if the block raises, ``path`` is left as it was.
+    The output directory is made if it does not exist yet.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -218,7 +237,7 @@ def record_to_trial(record: dict, where: str) -> Trial:
 
 
 def write_trials(path: Path, trials: Sequence[Trial]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path, newline="\n") as fh:
         for trial in trials:
             fh.write(json.dumps(trial_to_record(trial)) + "\n")
 
@@ -401,12 +420,6 @@ def parse_search_config(text: str, where: str):
     return optimizers, tasks, trials, seed, overrides
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_generate(args) -> int:
     text = _read_text(args.config, EXIT_CONFIG)
     optimizers, tasks, trials, seed, overrides = parse_search_config(text, args.config)
@@ -437,7 +450,7 @@ def cmd_generate(args) -> int:
         except (TypeError, ValueError) as err:
             raise CliError(EXIT_CONFIG, f"task {tid!r}: {err}")
 
-    out = _out_dir(args)
+    out = Path(args.out)
     for oi, spec in enumerate(specs):
         for ti, tid in enumerate(tasks):
             master = int(np.random.SeedSequence((seed, oi, ti)).generate_state(1)[0])
@@ -457,7 +470,7 @@ def cmd_calibrate(args) -> int:
     grouped: dict[str, list[Trial]] = {}
     for trial in _read_trial_files(args.files):
         grouped.setdefault(trial.optimizer_id, []).append(trial)
-    out = _out_dir(args)
+    out = Path(args.out)
     for oid, trials in grouped.items():
         try:
             prior = calibrate(trials, retention=args.retention)
@@ -468,7 +481,8 @@ def cmd_calibrate(args) -> int:
         for trial in kept:
             counts[trial.task_id] = counts.get(trial.task_id, 0) + 1
         path = out / f"prior_{oid}.json"
-        path.write_text(prior_to_json(oid, args.retention, counts, prior), encoding="utf-8")
+        with _replacing(path) as fh:
+            fh.write(prior_to_json(oid, args.retention, counts, prior))
         print(path)
     return EXIT_OK
 
@@ -538,8 +552,7 @@ def cmd_analyze(args) -> int:
                 curve.budgets, curve.mean, curve.variance, q["q25"], q["q50"], q["q75"]
             )
         )
-    out = _out_dir(args)
-    path = out / "curves.csv"
+    path = Path(args.out) / "curves.csv"
     _write_csv(path, _CURVE_HEADER, rows)
     print(path)
     return EXIT_OK
@@ -575,13 +588,17 @@ def _read_curves(path: Path):
     header, raw_rows = _read_csv(path)
     if header != _CURVE_HEADER:
         raise CliError(EXIT_PARSE, f"{path}: expected analyze output columns {_CURVE_HEADER}")
-    directions: dict[str, str] = {}
+    directions: dict[str, Direction] = {}
     points: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for oid, tid, direction, budget, mean, *_ in raw_rows:
+    for oid, tid, cell, budget, mean, *_ in raw_rows:
         try:
             point = (int(budget), float(mean))
         except ValueError:
             raise CliError(EXIT_PARSE, f"{path}: non-numeric budget or mean")
+        try:
+            direction = Direction(cell)
+        except ValueError:
+            raise CliError(EXIT_PARSE, f"{path}: direction must be 'min' or 'max'")
         if directions.setdefault(tid, direction) != direction:
             raise CliError(EXIT_GRID, f"{path}: conflicting directions for task {tid!r}")
         points.setdefault((oid, tid), []).append(point)
@@ -605,13 +622,13 @@ def _read_curves(path: Path):
 
 def cmd_summarize(args) -> int:
     tasks, optimizers, directions, means, horizon = _read_curves(Path(args.curves))
-    out = _out_dir(args)
+    out = Path(args.out)
 
     scores: dict[str, np.ndarray] = {}
     shifts: dict[str, float] = {}
     for tid in tasks:
         try:
-            scores[tid], shifts[tid] = aggregate.shifted_scores(means[tid], Direction(directions[tid]))
+            scores[tid], shifts[tid] = aggregate.shifted_scores(means[tid], directions[tid])
         except ValueError as err:
             raise CliError(EXIT_GRID, f"task {tid!r}: {err}")
 
@@ -647,7 +664,7 @@ def cmd_summarize(args) -> int:
 
     alpha_rows = []
     for tid in tasks:
-        direction = Direction(directions[tid])
+        direction = directions[tid]
         for oid, trace in zip(optimizers, means[tid]):
             try:
                 _, shift = aggregate.shifted_scores(trace, direction)
@@ -705,8 +722,7 @@ def cmd_prob_best(args) -> int:
         for budget, row in zip(budgets, overall):
             rows.extend(("ALL", budget, oid, prob, "") for oid, prob in zip(optimizers, row))
 
-    out = _out_dir(args)
-    path = out / "prob_best.csv"
+    path = Path(args.out) / "prob_best.csv"
     _write_csv(path, _PROB_HEADER, rows)
     print(path)
     return EXIT_OK
@@ -743,8 +759,7 @@ def cmd_time_curve(args) -> int:
                         curve.quantiles["q75"][k],
                     )
                 )
-    out = _out_dir(args)
-    path = out / "time_curve.csv"
+    path = Path(args.out) / "time_curve.csv"
     _write_csv(path, _TIME_HEADER, rows)
     print(path)
     return EXIT_OK
@@ -937,7 +952,7 @@ _PLOTS = {
 
 
 def cmd_plot(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     written = []
     for raw in args.files:
         path = Path(raw)
@@ -949,7 +964,8 @@ def cmd_plot(args) -> int:
         for tid, series in charts.items():
             svg = _svg_chart(f"{title} ({tid})", xlabel, ylabel, series, stacked=stacked)
             target = out / f"{path.stem}_{tid}.svg"
-            target.write_text(svg, encoding="utf-8")
+            with _replacing(target) as fh:
+                fh.write(svg)
             written.append(target)
     for target in written:
         print(target)

@@ -10,6 +10,7 @@ parallelized or rerun in any order with identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,10 +34,6 @@ from tunebench.optim import (
 )
 from tunebench.priors import PriorSpec, effective_lr_config
 from tunebench.tasks import TaskInstance
-
-
-def _finite(*arrays) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
 
 
 def train_trial(
@@ -63,7 +60,14 @@ def train_trial(
         lr0, momentum = effective_lr_config(lr0, config["effective_learning_rate"])
     else:
         momentum = config.get("momentum", 0.0)
-    weight_decay = config.get("weight_decay", 0.0)
+    if opt.family == "sgd":
+        update = partial(sgd_step, momentum=momentum, weight_decay=config.get("weight_decay", 0.0))
+    elif opt.family == "adam":
+        update = partial(
+            adam_step, beta1=config["beta1"], beta2=config["beta2"], eps=config["epsilon"]
+        )
+    else:
+        update = adagrad_step
 
     params = task.init_params(trial_seed)
     state = OptimizerState.initial(params.size)
@@ -76,25 +80,15 @@ def train_trial(
     for epoch in range(task.max_epochs):
         for batch in range(task.n_batches):
             loss, grad = task.batch_loss_grad(params, epoch, batch, trial_seed)
-            if not np.isfinite(loss) or not _finite(grad):
+            if not (np.isfinite(loss) and np.isfinite(grad).all()):
                 diverged = True
                 break
             lr = lr0
             if opt.poly_decay:
                 lr = poly_decay(lr0, steps, total_steps, config["poly_exponent"])
-            if opt.family == "sgd":
-                params, state = sgd_step(params, grad, state, lr, momentum, weight_decay)
-            elif opt.family == "adam":
-                params, state = adam_step(
-                    params, grad, state, lr,
-                    config["beta1"], config["beta2"], config["epsilon"],
-                )
-            elif opt.family == "adagrad":
-                params, state = adagrad_step(params, grad, state, lr)
-            else:
-                raise ValueError(f"unknown optimizer family {opt.family!r}")
+            params, state = update(params, grad, state, lr)
             steps += 1
-            if not _finite(params):
+            if not np.isfinite(params).all():
                 diverged = True
                 break
         if diverged:

@@ -10,7 +10,7 @@ reproduces its loss trajectory exactly.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class QuadraticTask:
     and batch gradient stay consistent.  Validation loss is noise-free.
     """
 
-    task_id: str
     dim: int
     data_seed: int
     batch_size: int
@@ -52,6 +51,7 @@ class QuadraticTask:
     noise_scale: float
     eigenvalues: np.ndarray
 
+    task_id = "quadratic"
     direction = Direction.MINIMIZE
 
     @property
@@ -89,7 +89,6 @@ def quadratic_deep_task(
         raise ValueError(f"train_size = {train_size} must be >= 1")
     _check_schedule(batch_size, max_epochs)
     return QuadraticTask(
-        task_id="quadratic",
         dim=dim,
         data_seed=seed,
         batch_size=batch_size,
@@ -101,7 +100,63 @@ def quadratic_deep_task(
 
 
 @dataclass(frozen=True)
-class LogRegTask:
+class _ClassifierTask:
+    """A binary classifier on labels +-1, trained with the logistic loss.
+
+    A model supplies ``_forward(params, x)``, which returns the logits and
+    what ``_backward(params, x, saved, dz)`` needs to turn the logit
+    gradient ``dz`` into the parameter gradient.  Each epoch's batch order
+    is drawn once, when first asked for, and kept on the instance.
+    """
+
+    data_seed: int
+    batch_size: int
+    max_epochs: int
+    train_x: np.ndarray
+    train_y: np.ndarray
+    val_x: np.ndarray
+    val_y: np.ndarray
+    _orders: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def train_size(self) -> int:
+        return self.train_x.shape[0]
+
+    @property
+    def n_batches(self) -> int:
+        return self.train_size // self.batch_size
+
+    def _epoch_order(self, epoch: int) -> np.ndarray:
+        if epoch not in self._orders:
+            self._orders[epoch] = substream(self.data_seed, epoch).permutation(self.train_size)
+        return self._orders[epoch]
+
+    def batch_loss_grad(
+        self, params: np.ndarray, epoch: int, batch: int, trial_seed: int
+    ) -> tuple[float, np.ndarray]:
+        rows = self._epoch_order(epoch)[batch * self.batch_size : (batch + 1) * self.batch_size]
+        x, y = self.train_x[rows], self.train_y[rows]
+        z, saved = self._forward(params, x)
+        dz = -y * _sigmoid(-y * z) / y.size
+        return _logistic_loss(z, y), self._backward(params, x, saved, dz)
+
+    def validation_loss(self, params: np.ndarray) -> float:
+        return _logistic_loss(self._forward(params, self.val_x)[0], self.val_y)
+
+    def accuracy(self, params: np.ndarray) -> float:
+        return float((np.sign(self._forward(params, self.val_x)[0]) == self.val_y).mean())
+
+
+def _shuffled_split(rng: np.random.Generator, x: np.ndarray, y: np.ndarray) -> dict:
+    """Training and validation fields from the first 80% and last 20% of a shuffle."""
+    order = rng.permutation(y.size)
+    x, y = x[order], y[order]
+    n_train = int(0.8 * y.size)
+    return {"train_x": x[:n_train], "train_y": y[:n_train], "val_x": x[n_train:], "val_y": y[n_train:]}
+
+
+@dataclass(frozen=True)
+class LogRegTask(_ClassifierTask):
     """Binary logistic regression on two Gaussian clusters at +-m.
 
     The cluster means sit two sigma from the origin (4 sigma apart), so the
@@ -110,47 +165,22 @@ class LogRegTask:
     is no bias term and zero weights score exactly ln 2.
     """
 
-    task_id: str
     dim: int
-    data_seed: int
-    batch_size: int
-    max_epochs: int
-    train_x: np.ndarray
-    train_y: np.ndarray
-    val_x: np.ndarray
-    val_y: np.ndarray
 
+    task_id = "logreg"
     direction = Direction.MINIMIZE
-
-    @property
-    def n_batches(self) -> int:
-        return self.train_x.shape[0] // self.batch_size
 
     def init_params(self, trial_seed: int) -> np.ndarray:
         return 0.01 * substream(trial_seed).standard_normal(self.dim)
 
-    def _epoch_slices(self, epoch: int) -> np.ndarray:
-        return substream(self.data_seed, epoch).permutation(self.train_x.shape[0])
+    def _forward(self, params: np.ndarray, x: np.ndarray):
+        return x @ params, None
 
-    def batch_loss_grad(
-        self, params: np.ndarray, epoch: int, batch: int, trial_seed: int
-    ) -> tuple[float, np.ndarray]:
-        order = self._epoch_slices(epoch)
-        rows = order[batch * self.batch_size : (batch + 1) * self.batch_size]
-        x, y = self.train_x[rows], self.train_y[rows]
-        z = x @ params
-        loss = _logistic_loss(z, y)
-        dz = -y * _sigmoid(-y * z) / y.size
-        return loss, x.T @ dz
-
-    def validation_loss(self, params: np.ndarray) -> float:
-        return _logistic_loss(self.val_x @ params, self.val_y)
+    def _backward(self, params, x, saved, dz) -> np.ndarray:
+        return x.T @ dz
 
     def objective(self, params: np.ndarray) -> float:
         return self.validation_loss(params)
-
-    def accuracy(self, params: np.ndarray) -> float:
-        return float((np.sign(self.val_x @ params) == self.val_y).mean())
 
 
 def logreg_task(
@@ -170,24 +200,17 @@ def logreg_task(
     mean = (2.0 / np.sqrt(dim)) * np.ones(dim)  # ||mean|| = 2, clusters 4 sigma apart
     y = np.concatenate([np.ones(half), -np.ones(n - half)])
     x = y[:, None] * mean + rng.standard_normal((n, dim))
-    order = rng.permutation(n)
-    x, y = x[order], y[order]
-    n_train = int(0.8 * n)
     return LogRegTask(
-        task_id="logreg",
         dim=dim,
         data_seed=seed,
         batch_size=batch_size,
         max_epochs=max_epochs,
-        train_x=x[:n_train],
-        train_y=y[:n_train],
-        val_x=x[n_train:],
-        val_y=y[n_train:],
+        **_shuffled_split(rng, x, y),
     )
 
 
 @dataclass(frozen=True)
-class MlpTask:
+class MlpTask(_ClassifierTask):
     """Two-layer tanh perceptron (32 hidden units) on two noisy spirals.
 
     Parameters are one flat vector: W1 (2x32), b1 (32), w2 (32), b2 (1).
@@ -195,25 +218,13 @@ class MlpTask:
     loss drives early stopping.
     """
 
-    task_id: str
-    hidden: int
-    data_seed: int
-    batch_size: int
-    max_epochs: int
-    train_x: np.ndarray
-    train_y: np.ndarray
-    val_x: np.ndarray
-    val_y: np.ndarray
-
+    task_id = "mlp"
+    hidden = 32
     direction = Direction.MAXIMIZE
 
     @property
     def dim(self) -> int:
         return 2 * self.hidden + self.hidden + self.hidden + 1
-
-    @property
-    def n_batches(self) -> int:
-        return self.train_x.shape[0] // self.batch_size
 
     def _unpack(self, params: np.ndarray):
         h = self.hidden
@@ -237,34 +248,10 @@ class MlpTask:
         hidden = np.tanh(x @ w1 + b1)
         return hidden @ w2 + b2, hidden
 
-    def batch_loss_grad(
-        self, params: np.ndarray, epoch: int, batch: int, trial_seed: int
-    ) -> tuple[float, np.ndarray]:
-        order = substream(self.data_seed, epoch).permutation(self.train_x.shape[0])
-        rows = order[batch * self.batch_size : (batch + 1) * self.batch_size]
-        x, y = self.train_x[rows], self.train_y[rows]
-        w1, b1, w2, b2 = self._unpack(params)
-        pre = x @ w1 + b1
-        hidden = np.tanh(pre)
-        z = hidden @ w2 + b2
-        loss = _logistic_loss(z, y)
-        dz = -y * _sigmoid(-y * z) / y.size
-        dw2 = hidden.T @ dz
-        db2 = dz.sum()
-        dhidden = np.outer(dz, w2)
-        dpre = dhidden * (1.0 - hidden * hidden)
-        dw1 = x.T @ dpre
-        db1 = dpre.sum(axis=0)
-        grad = np.concatenate([dw1.ravel(), db1, dw2, [db2]])
-        return loss, grad
-
-    def validation_loss(self, params: np.ndarray) -> float:
-        z, _ = self._forward(params, self.val_x)
-        return _logistic_loss(z, self.val_y)
-
-    def accuracy(self, params: np.ndarray) -> float:
-        z, _ = self._forward(params, self.val_x)
-        return float((np.sign(z) == self.val_y).mean())
+    def _backward(self, params, x, hidden, dz) -> np.ndarray:
+        w2 = self._unpack(params)[2]
+        dpre = np.outer(dz, w2) * (1.0 - hidden * hidden)
+        return np.concatenate([(x.T @ dpre).ravel(), dpre.sum(axis=0), hidden.T @ dz, [dz.sum()]])
 
     def objective(self, params: np.ndarray) -> float:
         return self.accuracy(params)
@@ -291,19 +278,11 @@ def mlp_task(
         x[block, 1] = radius * np.sin(angle)
         y[block] = 2.0 * k - 1.0
     x += 0.05 * rng.standard_normal(x.shape)
-    order = rng.permutation(n)
-    x, y = x[order], y[order]
-    n_train = int(0.8 * n)
     return MlpTask(
-        task_id="mlp",
-        hidden=32,
         data_seed=seed,
         batch_size=batch_size,
         max_epochs=max_epochs,
-        train_x=x[:n_train],
-        train_y=y[:n_train],
-        val_x=x[n_train:],
-        val_y=y[n_train:],
+        **_shuffled_split(rng, x, y),
     )
 
 
@@ -345,9 +324,8 @@ def check_trainable(task: TaskInstance) -> None:
     an update step.
     """
     if task.n_batches < 1:
-        points = task.train_size if isinstance(task, QuadraticTask) else task.train_x.shape[0]
         raise ValueError(
-            f"batch_size = {task.batch_size} is larger than the {points}-point training set"
+            f"batch_size = {task.batch_size} is larger than the {task.train_size}-point training set"
         )
 
 

@@ -409,6 +409,10 @@ DEGENERATE = {
     "plot_cell_over_csv_limit": (
         ["plot", "{config}"], ",".join(cli._PROB_HEADER) + '\n"' + "x" * 200_000 + '",1,a,1,\n',
         6, "field larger than field limit"),
+    "summarize_bad_direction": (
+        ["summarize", "{config}"],
+        ",".join(cli._CURVE_HEADER) + "\no,t,sideways,1,1,0,1,1,1\no,t,sideways,2,1,0,1,1,1\n",
+        6, "direction must be 'min' or 'max'"),
     "analyze_not_utf8": (["analyze", "{latin1}"], None, 6, "not UTF-8 text"),
     "calibrate_not_utf8": (["calibrate", "{latin1}"], None, 6, "not UTF-8 text"),
     "summarize_not_utf8": (["summarize", "{latin1}"], None, 6, "not UTF-8 text"),
@@ -463,3 +467,35 @@ def test_degenerate_inputs_exit_with_one_line(case, tmp_path, capsys):
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if line.startswith("tunebench: error:")]
     assert len(lines) == 1 and fragment in lines[0], err
+
+
+# --- outputs are replaced whole --------------------------------------------------
+
+def test_write_trials_that_fails_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "runs.jsonl"
+    write_trials(path, synthetic_trials([1.0, 2.0]))
+    before = path.read_bytes()
+    to_record = cli.trial_to_record
+    calls = []
+
+    def second_fails(trial):
+        calls.append(trial)
+        if len(calls) == 2:
+            raise RuntimeError("record 2 cannot be written")
+        return to_record(trial)
+
+    monkeypatch.setattr(cli, "trial_to_record", second_fails)
+    with pytest.raises(RuntimeError, match="record 2"):
+        write_trials(path, synthetic_trials([3.0, 4.0, 5.0]))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.jsonl"]
+
+
+def test_csv_that_fails_leaves_the_old_file(tmp_path):
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, ("a", "b"), [(1, 2.5)])
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        cli._write_csv(path, ("a", "b"), [(3, 4.5), (object(), 5.5)])
+    assert path.read_bytes() == before == b"a,b\n1,2.5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]

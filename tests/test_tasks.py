@@ -187,6 +187,58 @@ def test_mlp_adam_learns_the_spirals():
     assert task.validation_loss(w) < 0.65
 
 
+# --- shared classifier path ------------------------------------------------------
+
+def reference_forward(task, params, x):
+    """Logits and hidden activations, written out per model."""
+    if task.task_id == "logreg":
+        return x @ params, None
+    h = task.hidden
+    w1, b1 = params[: 2 * h].reshape(2, h), params[2 * h : 3 * h]
+    w2, b2 = params[3 * h : 4 * h], params[4 * h]
+    hidden = np.tanh(x @ w1 + b1)
+    return hidden @ w2 + b2, hidden
+
+
+def reference_batch_loss_grad(task, params, epoch, batch):
+    """Batch loss and gradient, rebuilding the epoch's order on every call."""
+    order = substream(task.data_seed, epoch).permutation(task.train_x.shape[0])
+    rows = order[batch * task.batch_size : (batch + 1) * task.batch_size]
+    x, y = task.train_x[rows], task.train_y[rows]
+    z, hidden = reference_forward(task, params, x)
+    loss = float(np.logaddexp(0.0, -y * z).mean())
+    dz = -y * (0.5 * (1.0 + np.tanh(0.5 * (-y * z)))) / y.size
+    if task.task_id == "logreg":
+        return loss, x.T @ dz
+    dpre = np.outer(dz, params[3 * task.hidden : 4 * task.hidden]) * (1.0 - hidden * hidden)
+    return loss, np.concatenate([(x.T @ dpre).ravel(), dpre.sum(axis=0), hidden.T @ dz, [dz.sum()]])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("make", [
+    lambda seed: logreg_task(n=300, dim=5, seed=seed, batch_size=40, max_epochs=4),
+    lambda seed: mlp_task(seed=seed, n=200, batch_size=30, max_epochs=4),
+], ids=["logreg", "mlp"])
+def test_classifier_tasks_match_the_reference_bitwise(make, seed):
+    task = make(seed)
+    rng = substream(seed, 99)
+    # epochs out of order and repeated, and one past max_epochs
+    for epoch in (3, 0, 3, 1, task.max_epochs + 2):
+        for batch in (task.n_batches - 1, 0, 2):
+            w = rng.standard_normal(task.dim)
+            loss, grad = task.batch_loss_grad(w, epoch, batch, trial_seed=5)
+            ref_loss, ref_grad = reference_batch_loss_grad(task, w, epoch, batch)
+            assert loss == ref_loss and np.array_equal(grad, ref_grad), (epoch, batch)
+    for _ in range(3):
+        w = rng.standard_normal(task.dim)
+        z, _ = reference_forward(task, w, task.val_x)
+        val = float(np.logaddexp(0.0, -task.val_y * z).mean())
+        acc = float((np.sign(z) == task.val_y).mean())
+        assert task.validation_loss(w) == val
+        assert task.accuracy(w) == acc
+        assert task.objective(w) == (val if task.task_id == "logreg" else acc)
+
+
 # --- registry ----------------------------------------------------------------
 
 def test_task_registry():

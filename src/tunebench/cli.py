@@ -89,12 +89,18 @@ def _replacing(path: Path, newline: str | None = None):
     when the block ends; if the block raises, ``path`` is left as it was.
     The output directory is made if it does not exist yet.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise CliError(EXIT_CONFIG, f"cannot make output directory {path.parent}: {err.strerror}")
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(partial, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(partial, path)
+    except OSError as err:
+        partial.unlink(missing_ok=True)
+        raise CliError(EXIT_CONFIG, f"cannot write {path}: {err.strerror}") from err
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
@@ -259,15 +265,29 @@ def read_trials(path: Path) -> list[Trial]:
 
 
 def _read_trial_files(paths: Sequence[str]) -> list[Trial]:
-    """All records of the given files in order; a file named twice is an error."""
+    """All records of the given files in order.
+
+    A file named twice is an error, and so are two records of one
+    (optimizer, task, seed): the second would count one trial twice.
+    """
     seen = set()
+    seeds: dict[tuple[str, str], set[int]] = {}
     trials = []
     for path in paths:
         resolved = Path(path).resolve()
         if resolved in seen:
             raise CliError(EXIT_CONFIG, f"{path}: trial file named twice")
         seen.add(resolved)
-        trials.extend(read_trials(Path(path)))
+        for trial in read_trials(Path(path)):
+            pair = seeds.setdefault((trial.optimizer_id, trial.task_id), set())
+            if trial.seed in pair:
+                raise CliError(
+                    EXIT_PARSE,
+                    f"{path}: duplicate record for optimizer {trial.optimizer_id!r}, "
+                    f"task {trial.task_id!r}, seed {trial.seed}",
+                )
+            pair.add(trial.seed)
+            trials.append(trial)
     return trials
 
 

@@ -1,16 +1,19 @@
-"""Random-search driver: trial training, library generation, time-budget runs.
+"""Random-search driver: population training, library generation, time-budget runs.
 
 A library is built once per (optimizer, task) and then resampled by the
-estimator module to simulate any number of hyperparameter searches.  Trial i
-is fully determined by (master_seed, i): its config draw and its training
-seed come from substreams keyed on those integers, so generation can be
-parallelized or rerun in any order with identical results.
+estimator module to simulate any number of hyperparameter searches.  All
+trials of a search train together as one population: a (P, dim) parameter
+matrix stepped in lockstep, with each hyperparameter a (P, 1) column.  Trial
+i is fully determined by (master_seed, i): its config draw and its training
+seed come from substreams keyed on those integers, and every operation on
+the population acts on each trial's row alone, so a trial's record is bit
+for bit the same whether it trains alone, in a population of any size, or
+after its neighbours have left the population.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,7 +28,6 @@ from tunebench.core import (
 )
 from tunebench.optim import (
     OptimizerSpec,
-    OptimizerState,
     adagrad_step,
     adam_step,
     early_stop,
@@ -35,6 +37,151 @@ from tunebench.optim import (
 from tunebench.priors import PriorSpec, effective_lr_config
 from tunebench.tasks import TaskInstance
 
+# Trials per population in random_search.  A population's arrays grow with
+# its size (the MLP's (P, batch, hidden) activations, the quadratic's
+# (P, n_batches, dim) noise block), so a large budget trains in pieces.
+_MAX_POPULATION = 128
+
+
+def _hyperparameters(opt: OptimizerSpec, configs: Sequence[Mapping[str, float]]) -> dict:
+    """The values the update rule reads, one (P, 1) column per name."""
+    for config in configs:
+        if set(config) != set(opt.hyperparameters):
+            raise ValueError(
+                f"config keys {sorted(config)} do not match optimizer "
+                f"{opt.optimizer_id!r} hyperparameters {sorted(opt.hyperparameters)}"
+            )
+    if opt.effective_lr:
+        pairs = [effective_lr_config(c["learning_rate"], c["effective_learning_rate"]) for c in configs]
+    else:
+        pairs = [(c["learning_rate"], c.get("momentum", 0.0)) for c in configs]
+    columns = {"lr": [lr for lr, _ in pairs]}
+    if opt.family == "sgd":
+        columns["momentum"] = [momentum for _, momentum in pairs]
+        columns["weight_decay"] = [c.get("weight_decay", 0.0) for c in configs]
+    elif opt.family == "adam":
+        for name in ("beta1", "beta2", "epsilon"):
+            columns[name] = [c[name] for c in configs]
+    if opt.poly_decay:
+        columns["poly_exponent"] = [c["poly_exponent"] for c in configs]
+    return {name: np.array(values, dtype=float)[:, None] for name, values in columns.items()}
+
+
+_BUFFERS = {"sgd": ("velocity",), "adam": ("m", "u"), "adagrad": ("accum",)}
+
+
+def _update(family: str, live: dict, grad: np.ndarray, lr, step: int) -> None:
+    """One update of every live trial, in place."""
+    if family == "sgd":
+        sgd_step(live["params"], grad, live["velocity"], lr, live["momentum"], live["weight_decay"])
+    elif family == "adam":
+        adam_step(
+            live["params"], grad, live["m"], live["u"], step, lr,
+            live["beta1"], live["beta2"], live["epsilon"],
+        )
+    else:
+        adagrad_step(live["params"], grad, live["accum"], lr)
+
+
+def train_population(
+    opt: OptimizerSpec,
+    configs: Sequence[Mapping[str, float]],
+    task: TaskInstance,
+    seeds: Sequence[int],
+) -> list[Trial]:
+    """Train trial k from ``configs[k]`` and ``seeds[k]``, all trials in lockstep.
+
+    Each trial runs with early stopping and divergence detection.  A trial
+    is flagged diverged when training produces a nonfinite loss, gradient
+    or parameter, or when an epoch ends with the validation loss above its
+    value at initialization: the run made the model worse than no training
+    at all, which is how exploding runs look long before they overflow.
+    Diverged trials record no objective.  A trial that stops, either way,
+    leaves the live set with its step count, epoch count and final
+    parameters, and the live arrays are compacted to the trials left.
+    """
+    live = {
+        "trial": np.arange(len(configs)),
+        "seed": np.array(seeds),
+        "params": np.stack([task.init_params(seed) for seed in seeds]),
+        **_hyperparameters(opt, configs),
+    }
+    for name in _BUFFERS[opt.family]:
+        live[name] = np.zeros_like(live["params"])
+    live["baseline"] = task.validation_loss(live["params"])
+    live["best"] = np.full(len(configs), np.nan)
+    live["stale"] = np.zeros(len(configs), dtype=np.int64)
+
+    update_steps = np.zeros(len(configs), dtype=np.int64)
+    epochs_run = np.zeros(len(configs), dtype=np.int64)
+    diverged = np.zeros(len(configs), dtype=bool)
+    objective = np.full(len(configs), np.nan)
+
+    def retire(leaving: np.ndarray, steps: int, epochs: int, failed: bool) -> None:
+        rows = live["trial"][leaving]
+        update_steps[rows] = steps
+        epochs_run[rows] = epochs
+        diverged[rows] = failed
+        if not failed:
+            objective[rows] = task.objective(live["params"][leaving])
+        staying = ~leaving
+        for name, values in live.items():
+            live[name] = values[staying]
+
+    total_steps = task.max_epochs * task.n_batches
+    steps = 0
+    for epoch in range(task.max_epochs):
+        if not live["trial"].size:
+            break
+        live.pop("noise", None)  # free the last epoch's block before drawing this one
+        noise = task.epoch_noise(live["seed"], epoch)
+        if noise is not None:
+            live["noise"] = noise
+        for batch in range(task.n_batches):
+            loss, grad = task.batch_loss_grad(live["params"], epoch, batch, live["seed"], live.get("noise"))
+            blown = ~(np.isfinite(loss) & np.isfinite(grad).all(axis=1))
+            if blown.any():
+                retire(blown, steps, epoch, failed=True)
+                grad = grad[~blown]
+                if not live["trial"].size:
+                    break
+            lr = live["lr"]
+            if opt.poly_decay:
+                lr = poly_decay(lr, steps, total_steps, live["poly_exponent"])
+            steps += 1
+            _update(opt.family, live, grad, lr, steps)
+            blown = ~np.isfinite(live["params"]).all(axis=1)
+            if blown.any():
+                retire(blown, steps, epoch, failed=True)
+                if not live["trial"].size:
+                    break
+        else:  # the epoch ended with trials left
+            val = task.validation_loss(live["params"])
+            regressed = ~np.isfinite(val) | (val > live["baseline"])
+            if regressed.any():
+                retire(regressed, steps, epoch, failed=True)
+                val = val[~regressed]
+            live["best"], live["stale"], stop = early_stop(
+                live["best"], live["stale"], val, epoch + 1, max_epochs=task.max_epochs
+            )
+            if stop.any():
+                retire(stop, steps, epoch + 1, failed=False)
+
+    return [
+        Trial(
+            optimizer_id=opt.optimizer_id,
+            task_id=task.task_id,
+            seed=seed,
+            config=config,
+            objective=None if diverged[k] else float(objective[k]),
+            direction=task.direction,
+            update_steps=int(update_steps[k]),
+            epochs_run=int(epochs_run[k]),
+            diverged=bool(diverged[k]),
+        )
+        for k, (config, seed) in enumerate(zip(configs, seeds))
+    ]
+
 
 def train_trial(
     opt: OptimizerSpec,
@@ -42,76 +189,8 @@ def train_trial(
     task: TaskInstance,
     trial_seed: int,
 ) -> Trial:
-    """Train one configuration with early stopping and divergence detection.
-
-    A trial is flagged diverged when training produces a nonfinite loss,
-    gradient or parameter, or when an epoch ends with the validation loss
-    above its value at initialization: the run made the model worse than
-    no training at all, which is how exploding runs look long before they
-    overflow.  Diverged trials record no objective.
-    """
-    if set(config) != set(opt.hyperparameters):
-        raise ValueError(
-            f"config keys {sorted(config)} do not match optimizer "
-            f"{opt.optimizer_id!r} hyperparameters {sorted(opt.hyperparameters)}"
-        )
-    lr0 = config["learning_rate"]
-    if opt.effective_lr:
-        lr0, momentum = effective_lr_config(lr0, config["effective_learning_rate"])
-    else:
-        momentum = config.get("momentum", 0.0)
-    if opt.family == "sgd":
-        update = partial(sgd_step, momentum=momentum, weight_decay=config.get("weight_decay", 0.0))
-    elif opt.family == "adam":
-        update = partial(
-            adam_step, beta1=config["beta1"], beta2=config["beta2"], eps=config["epsilon"]
-        )
-    else:
-        update = adagrad_step
-
-    params = task.init_params(trial_seed)
-    state = OptimizerState.initial(params.size)
-    baseline = task.validation_loss(params)
-    total_steps = task.max_epochs * task.n_batches
-    steps = 0
-    val_losses: list[float] = []
-    diverged = False
-
-    for epoch in range(task.max_epochs):
-        for batch in range(task.n_batches):
-            loss, grad = task.batch_loss_grad(params, epoch, batch, trial_seed)
-            if not (np.isfinite(loss) and np.isfinite(grad).all()):
-                diverged = True
-                break
-            lr = lr0
-            if opt.poly_decay:
-                lr = poly_decay(lr0, steps, total_steps, config["poly_exponent"])
-            params, state = update(params, grad, state, lr)
-            steps += 1
-            if not np.isfinite(params).all():
-                diverged = True
-                break
-        if diverged:
-            break
-        val = task.validation_loss(params)
-        if not np.isfinite(val) or val > baseline:
-            diverged = True
-            break
-        val_losses.append(val)
-        if early_stop(val_losses, patience=2, max_epochs=task.max_epochs):
-            break
-
-    return Trial(
-        optimizer_id=opt.optimizer_id,
-        task_id=task.task_id,
-        seed=trial_seed,
-        config=config,
-        objective=None if diverged else task.objective(params),
-        direction=task.direction,
-        update_steps=steps,
-        epochs_run=len(val_losses),
-        diverged=diverged,
-    )
+    """Train one configuration: a population of one."""
+    return train_population(opt, [config], task, [trial_seed])[0]
 
 
 def _trial_seed(master_seed: int, index: int) -> int:
@@ -126,7 +205,7 @@ def random_search(
     budget: int,
     master_seed: int,
 ) -> TrialLibrary:
-    """Draw ``budget`` configs from the prior and train each one, in draw order."""
+    """Draw ``budget`` configs from the prior and train them, in draw order."""
     if budget < 1:
         raise ValueError("budget must be a positive integer")
     if set(prior.names()) != set(opt.hyperparameters):
@@ -134,11 +213,13 @@ def random_search(
             f"prior hyperparameters {sorted(prior.names())} do not match "
             f"optimizer {opt.optimizer_id!r} ({sorted(opt.hyperparameters)})"
         )
-    # arguments are evaluated left to right: trial i draws its config, then its seed
-    return TrialLibrary.from_trials([
-        train_trial(opt, prior.sample(substream(master_seed, i, 0)), task, _trial_seed(master_seed, i))
-        for i in range(budget)
-    ])
+    configs = [prior.sample(substream(master_seed, i, 0)) for i in range(budget)]
+    seeds = [_trial_seed(master_seed, i) for i in range(budget)]
+    trials = []
+    for start in range(0, budget, _MAX_POPULATION):
+        chunk = slice(start, start + _MAX_POPULATION)
+        trials += train_population(opt, configs[chunk], task, seeds[chunk])
+    return TrialLibrary.from_trials(trials)
 
 
 @dataclass(frozen=True)

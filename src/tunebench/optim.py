@@ -1,119 +1,86 @@
 """Update rules, learning-rate decay and early stopping for the testbed.
 
-Steppers are pure: they take (params, grads, state) plus hyperparameters and
-return fresh arrays, so a training step is reproducible bit for bit.
+Everything here acts on a population of trials at once: parameters,
+gradients and optimizer buffers are (P, dim) arrays with one row per trial,
+and a hyperparameter is a number or a (P, 1) column.  Each operation is
+elementwise or row by row, so a trial's update does not depend on the other
+rows.  The steppers update ``params`` and their buffers in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """Per-parameter buffers; each update rule touches only its own slots."""
-
-    velocity: np.ndarray  # SGD momentum buffer
-    m: np.ndarray  # Adam first moment
-    u: np.ndarray  # Adam second moment
-    accum: np.ndarray  # Adagrad squared-gradient accumulator
-    step: int = 0
-
-    @classmethod
-    def initial(cls, dim: int) -> "OptimizerState":
-        zeros = np.zeros(dim)
-        return cls(velocity=zeros, m=zeros, u=zeros, accum=zeros, step=0)
-
-
-def sgd_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: OptimizerState,
-    lr: float,
-    momentum: float = 0.0,
-    weight_decay: float = 0.0,
-) -> tuple[np.ndarray, OptimizerState]:
+def sgd_step(params, grads, velocity, lr, momentum=0.0, weight_decay=0.0) -> None:
     """Heavy-ball SGD with decoupled weight decay applied before the update."""
-    w = (1.0 - weight_decay) * params
-    v = momentum * state.velocity + grads
-    w = w - lr * v
-    return w, replace(state, velocity=v, step=state.step + 1)
+    velocity *= momentum
+    velocity += grads
+    params *= 1.0 - weight_decay
+    params -= lr * velocity
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: OptimizerState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[np.ndarray, OptimizerState]:
-    t = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grads
-    u = beta2 * state.u + (1.0 - beta2) * grads * grads
-    m_hat = m / (1.0 - beta1**t)
-    u_hat = u / (1.0 - beta2**t)
-    w = params - lr * m_hat / (np.sqrt(u_hat) + eps)
-    return w, replace(state, m=m, u=u, step=t)
+def adam_step(params, grads, m, u, step, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """Adam; ``step`` counts the updates made so far, this one included."""
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    u *= beta2
+    u += (1.0 - beta2) * grads * grads
+    m_hat = m / (1.0 - beta1**step)
+    u_hat = u / (1.0 - beta2**step)
+    params -= lr * m_hat / (np.sqrt(u_hat) + eps)
 
 
-def adagrad_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: OptimizerState,
-    lr: float,
-    eps: float = 1e-10,
-) -> tuple[np.ndarray, OptimizerState]:
-    accum = state.accum + grads * grads
-    w = params - lr * grads / (np.sqrt(accum) + eps)
-    return w, replace(state, accum=accum, step=state.step + 1)
+def adagrad_step(params, grads, accum, lr, eps=1e-10) -> None:
+    accum += grads * grads
+    params -= lr * grads / (np.sqrt(accum) + eps)
 
 
-def poly_decay(lr0: float, step: int, total_steps: int, exponent: float) -> float:
+def poly_decay(lr0, step: int, total_steps: int, exponent):
     """Polynomial decay lr0 * (1 - step/total_steps)**exponent, floored at 0."""
-    if lr0 <= 0:
+    if np.min(lr0) <= 0:
         raise ValueError("base learning rate must be positive")
     if total_steps < 1:
         raise ValueError("total_steps must be a positive integer")
-    if exponent <= 0:
+    if np.min(exponent) <= 0:
         raise ValueError("decay exponent must be positive")
     if step < 0:
         raise ValueError("step must be nonnegative")
     if step >= total_steps:
-        return 0.0
+        return 0.0 * lr0
     return lr0 * (1.0 - step / total_steps) ** exponent
 
 
 def early_stop(
-    val_losses,
+    best,
+    stale,
+    losses,
+    epochs: int,
     patience: int = 2,
     max_epochs: int | None = None,
     rel_delta: float = 1e-4,
-) -> bool:
-    """Decide whether to stop after the latest epoch.
+):
+    """Fold the validation losses of epoch number ``epochs`` into the
+    early-stopping record and decide which trials stop after it.
 
     An epoch improves when its validation loss beats the best significant
     loss so far by a relative margin of ``rel_delta``; sub-margin downticks
-    do not reset the plateau.  Training stops once more than ``patience``
-    consecutive epochs fail to improve, or the epoch cap is reached.
+    do not reset the plateau.  ``best`` holds each trial's best significant
+    loss (NaN before its first epoch) and ``stale`` the epochs since that
+    loss was seen.  Returns the new ``best`` and ``stale`` and the mask of
+    trials to stop: those with more than ``patience`` consecutive epochs
+    without improvement, and every trial once the epoch cap is reached.
     """
-    losses = list(val_losses)
-    if not losses:
-        raise ValueError("val_losses must contain at least one epoch")
+    if epochs < 1:
+        raise ValueError("epochs must count at least one epoch")
     if patience < 0:
         raise ValueError("patience must be nonnegative")
-    if max_epochs is not None and len(losses) >= max_epochs:
-        return True
-    best = losses[0]
-    last_improving = 0
-    for i, loss in enumerate(losses[1:], start=1):
-        if loss < best - rel_delta * abs(best):
-            best = loss
-            last_improving = i
-    return (len(losses) - 1) - last_improving > patience
+    improved = np.isnan(best) | (losses < best - rel_delta * np.abs(best))
+    best = np.where(improved, losses, best)
+    stale = np.where(improved, 0, stale + 1)
+    return best, stale, (stale > patience) | (max_epochs is not None and epochs >= max_epochs)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,18 @@
 
 Each task is an immutable problem instance: fixed data (or noise model),
 fixed train/validation split, and pure functions for batch gradients and
-validation metrics.  Batch order is a function of (data seed, epoch) and
-gradient noise of (trial seed, epoch, batch), so rerunning a trial
-reproduces its loss trajectory exactly.
+validation metrics.  Batch order is a function of (data seed, epoch), so
+every trial of a population sees the same rows at each step; gradient noise
+is drawn once per (trial seed, epoch), one (n_batches, dim) block whose row
+b is batch b's noise.  Rerunning a trial reproduces its loss trajectory
+exactly.
+
+The gradient and validation functions take one trial's (dim,) parameter
+vector or a (P, dim) population with one row per trial, and return one loss
+per row.  Every product is taken one trial at a time (numpy's stacked
+matmul makes one BLAS call per trial, never one matrix product across
+trials), so a trial's result is bit for bit the same whatever the other
+rows hold.
 """
 
 from __future__ import annotations
@@ -22,8 +31,24 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 
-def _logistic_loss(z: np.ndarray, y: np.ndarray) -> float:
-    return float(np.logaddexp(0.0, -y * z).mean())
+def _logistic_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.logaddexp(0.0, -y * z).mean(axis=-1)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two (..., n) arrays."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` for each row v of a (..., n) array and each matrix of ``m``."""
+    return np.matmul(m, v[..., :, None])[..., 0]
+
+
+# Trials per validation forward pass: the MLP's pass holds one
+# (trials, validation rows, hidden) array, and blocks keep it near the size
+# of a training batch's.
+_VALIDATION_BLOCK = 4
 
 
 def _check_schedule(batch_size: int, max_epochs: int) -> None:
@@ -41,6 +66,8 @@ class QuadraticTask:
     (condition number 1e4).  A minibatch contributes the exact gradient Qw
     plus Gaussian noise, realized as the linear term xi'w so that batch loss
     and batch gradient stay consistent.  Validation loss is noise-free.
+    Training passes each epoch's ``epoch_noise`` to ``batch_loss_grad``;
+    without it, the noise is drawn from ``trial_seed``.
     """
 
     dim: int
@@ -61,18 +88,30 @@ class QuadraticTask:
     def init_params(self, trial_seed: int) -> np.ndarray:
         return np.ones(self.dim)
 
+    def epoch_noise(self, trial_seed, epoch: int) -> np.ndarray:
+        """The epoch's gradient noise for one seed, (n_batches, dim), or for
+        an array of seeds, (len(seeds), n_batches, dim)."""
+        seeds = np.asarray(trial_seed)
+        noise = np.empty((seeds.size, self.n_batches, self.dim))
+        for block, seed in zip(noise, seeds.flat):
+            substream(int(seed), epoch).standard_normal(out=block)
+        noise *= self.noise_scale
+        return noise.reshape(seeds.shape + noise.shape[1:])
+
     def batch_loss_grad(
-        self, params: np.ndarray, epoch: int, batch: int, trial_seed: int
-    ) -> tuple[float, np.ndarray]:
-        noise = self.noise_scale * substream(trial_seed, epoch, batch).standard_normal(self.dim)
+        self, params: np.ndarray, epoch: int, batch: int, trial_seed, noise: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if noise is None:
+            noise = self.epoch_noise(trial_seed, epoch)
+        noise = noise[..., batch, :]
         quad = self.eigenvalues * params
-        loss = 0.5 * float(params @ quad) + float(noise @ params)
+        loss = 0.5 * _rowdot(params, quad) + _rowdot(noise, params)
         return loss, quad + noise
 
-    def validation_loss(self, params: np.ndarray) -> float:
-        return 0.5 * float(params @ (self.eigenvalues * params))
+    def validation_loss(self, params: np.ndarray) -> np.ndarray:
+        return 0.5 * _rowdot(params, self.eigenvalues * params)
 
-    def objective(self, params: np.ndarray) -> float:
+    def objective(self, params: np.ndarray) -> np.ndarray:
         return self.validation_loss(params)
 
 
@@ -106,7 +145,8 @@ class _ClassifierTask:
     A model supplies ``_forward(params, x)``, which returns the logits and
     what ``_backward(params, x, saved, dz)`` needs to turn the logit
     gradient ``dz`` into the parameter gradient.  Each epoch's batch order
-    is drawn once, when first asked for, and kept on the instance.
+    is drawn once, when first asked for, and kept on the instance.  The
+    classifiers have no gradient noise.
     """
 
     data_seed: int
@@ -131,20 +171,29 @@ class _ClassifierTask:
             self._orders[epoch] = substream(self.data_seed, epoch).permutation(self.train_size)
         return self._orders[epoch]
 
+    def epoch_noise(self, trial_seed, epoch: int) -> None:
+        return None
+
     def batch_loss_grad(
-        self, params: np.ndarray, epoch: int, batch: int, trial_seed: int
-    ) -> tuple[float, np.ndarray]:
+        self, params: np.ndarray, epoch: int, batch: int, trial_seed, noise=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         rows = self._epoch_order(epoch)[batch * self.batch_size : (batch + 1) * self.batch_size]
         x, y = self.train_x[rows], self.train_y[rows]
         z, saved = self._forward(params, x)
         dz = -y * _sigmoid(-y * z) / y.size
         return _logistic_loss(z, y), self._backward(params, x, saved, dz)
 
-    def validation_loss(self, params: np.ndarray) -> float:
-        return _logistic_loss(self._forward(params, self.val_x)[0], self.val_y)
+    def _val_logits(self, params: np.ndarray) -> np.ndarray:
+        rows = params.reshape(-1, params.shape[-1])
+        blocks = range(0, len(rows), _VALIDATION_BLOCK)
+        logits = [self._forward(rows[k : k + _VALIDATION_BLOCK], self.val_x)[0] for k in blocks]
+        return np.concatenate(logits).reshape(params.shape[:-1] + (-1,))
 
-    def accuracy(self, params: np.ndarray) -> float:
-        return float((np.sign(self._forward(params, self.val_x)[0]) == self.val_y).mean())
+    def validation_loss(self, params: np.ndarray) -> np.ndarray:
+        return _logistic_loss(self._val_logits(params), self.val_y)
+
+    def accuracy(self, params: np.ndarray) -> np.ndarray:
+        return (np.sign(self._val_logits(params)) == self.val_y).mean(axis=-1)
 
 
 def _shuffled_split(rng: np.random.Generator, x: np.ndarray, y: np.ndarray) -> dict:
@@ -174,12 +223,12 @@ class LogRegTask(_ClassifierTask):
         return 0.01 * substream(trial_seed).standard_normal(self.dim)
 
     def _forward(self, params: np.ndarray, x: np.ndarray):
-        return x @ params, None
+        return _matvec(x, params), None
 
     def _backward(self, params, x, saved, dz) -> np.ndarray:
-        return x.T @ dz
+        return _matvec(x.T, dz)
 
-    def objective(self, params: np.ndarray) -> float:
+    def objective(self, params: np.ndarray) -> np.ndarray:
         return self.validation_loss(params)
 
 
@@ -215,7 +264,9 @@ class MlpTask(_ClassifierTask):
 
     Parameters are one flat vector: W1 (2x32), b1 (32), w2 (32), b2 (1).
     The recorded objective is validation accuracy (maximized); validation
-    loss drives early stopping.
+    loss drives early stopping.  The forward pass builds one
+    (..., rows, hidden) array and works in it in place, and the backward
+    pass reuses it.
     """
 
     task_id = "mlp"
@@ -228,10 +279,10 @@ class MlpTask(_ClassifierTask):
 
     def _unpack(self, params: np.ndarray):
         h = self.hidden
-        w1 = params[: 2 * h].reshape(2, h)
-        b1 = params[2 * h : 3 * h]
-        w2 = params[3 * h : 4 * h]
-        b2 = params[4 * h]
+        w1 = params[..., : 2 * h].reshape(params.shape[:-1] + (2, h))
+        b1 = params[..., 2 * h : 3 * h]
+        w2 = params[..., 3 * h : 4 * h]
+        b2 = params[..., 4 * h]
         return w1, b1, w2, b2
 
     def init_params(self, trial_seed: int) -> np.ndarray:
@@ -245,15 +296,28 @@ class MlpTask(_ClassifierTask):
 
     def _forward(self, params: np.ndarray, x: np.ndarray):
         w1, b1, w2, b2 = self._unpack(params)
-        hidden = np.tanh(x @ w1 + b1)
-        return hidden @ w2 + b2, hidden
+        hidden = np.matmul(x, w1)
+        hidden += b1[..., None, :]
+        np.tanh(hidden, out=hidden)
+        return _matvec(hidden, w2) + b2[..., None], hidden
 
     def _backward(self, params, x, hidden, dz) -> np.ndarray:
         w2 = self._unpack(params)[2]
-        dpre = np.outer(dz, w2) * (1.0 - hidden * hidden)
-        return np.concatenate([(x.T @ dpre).ravel(), dpre.sum(axis=0), hidden.T @ dz, [dz.sum()]])
+        grad_w2 = _matvec(np.swapaxes(hidden, -1, -2), dz)
+        dpre = dz[..., :, None] * w2[..., None, :]
+        # 1 - hidden**2, made in the forward pass's array, which is not read again
+        np.multiply(hidden, hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        dpre *= hidden
+        lead = params.shape[:-1]
+        return np.concatenate([
+            np.matmul(x.T, dpre).reshape(lead + (-1,)),
+            dpre.sum(axis=-2),
+            grad_w2,
+            dz.sum(axis=-1)[..., None],
+        ], axis=-1)
 
-    def objective(self, params: np.ndarray) -> float:
+    def objective(self, params: np.ndarray) -> np.ndarray:
         return self.accuracy(params)
 
 
@@ -334,4 +398,4 @@ def evaluate(task: TaskInstance, params: np.ndarray) -> float:
     params = np.asarray(params, dtype=float)
     if params.shape != (task.dim,):
         raise ValueError(f"params must have shape ({task.dim},), got {params.shape}")
-    return task.objective(params)
+    return float(task.objective(params))

@@ -436,6 +436,13 @@ DEGENERATE = {
     "retention_inf": (
         ["calibrate", "{latin1}", "--retention", "inf"], None,
         2, "--retention must be positive and finite"),
+    "out_names_a_file": (
+        ["analyze", "{a}", "--out", "{b}"], None, 2, "cannot make output directory"),
+    "duplicate_records": (
+        ["analyze", "{a_twice}"], None,
+        6, "duplicate record for optimizer 'opt-a', task 'synthetic', seed 0"),
+    "duplicate_records_across_files": (
+        ["prob-best", "{a}", "{b}", "{a_copy}"], None, 6, "duplicate record"),
 }
 
 
@@ -454,6 +461,10 @@ def test_degenerate_inputs_exit_with_one_line(case, tmp_path, capsys):
         for i in range(3)
     ])
     paths["a_again"] = tmp_path / ".." / tmp_path.name / "a.jsonl"
+    paths["a_copy"] = tmp_path / "a_copy.jsonl"
+    paths["a_copy"].write_bytes(paths["a"].read_bytes())
+    paths["a_twice"] = tmp_path / "a_twice.jsonl"
+    paths["a_twice"].write_bytes(2 * paths["a"].read_bytes())
     paths["latin1"] = tmp_path / "latin1.txt"
     paths["latin1"].write_bytes(b"caf\xe9\n")
     paths["priors"] = tmp_path / "priors"
@@ -462,7 +473,9 @@ def test_degenerate_inputs_exit_with_one_line(case, tmp_path, capsys):
     paths["config"] = tmp_path / "search.ini"
     if config is not None:
         paths["config"].write_text(config)
-    assert run([arg.format(**paths) for arg in argv] + ["--out", tmp_path / "out"]) == code
+    if "--out" not in argv:
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert run([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if line.startswith("tunebench: error:")]

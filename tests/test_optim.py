@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunebench.optim import (
-    OptimizerState,
     adagrad_step,
     adam_step,
     early_stop,
@@ -15,84 +14,91 @@ from tunebench.optim import (
 )
 
 
-def fresh(dim=1):
-    return OptimizerState.initial(dim)
+def row(*values):
+    """A population of one trial, as the steppers take it."""
+    return np.array([values], dtype=float)
 
 
 def test_sgd_plain_step_frozen():
-    w, state = sgd_step(np.array([1.0]), np.array([2.0]), fresh(), lr=0.1)
-    assert w[0] == pytest.approx(0.8, abs=1e-15)
-    assert state.step == 1
-    assert state.velocity[0] == 2.0
+    w, v = row(1.0), row(0.0)
+    sgd_step(w, row(2.0), v, lr=0.1)
+    assert w[0, 0] == pytest.approx(0.8, abs=1e-15)
+    assert v[0, 0] == 2.0
 
 
 def test_sgd_weight_decay_applies_before_the_update():
     # zero gradient isolates the decay: w <- (1 - wd) * w
-    w, _ = sgd_step(np.array([1.0]), np.array([0.0]), fresh(), lr=0.1, weight_decay=0.5)
-    assert w[0] == pytest.approx(0.5, abs=1e-15)
+    w = row(1.0)
+    sgd_step(w, row(0.0), row(0.0), lr=0.1, weight_decay=0.5)
+    assert w[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_sgd_momentum_two_steps_frozen():
-    state = fresh()
-    w = np.array([0.0])
-    w, state = sgd_step(w, np.array([1.0]), state, lr=1.0, momentum=0.5)
-    assert w[0] == pytest.approx(-1.0, abs=1e-15)  # v = 1
-    w, state = sgd_step(w, np.array([1.0]), state, lr=1.0, momentum=0.5)
-    assert w[0] == pytest.approx(-2.5, abs=1e-15)  # v = 1.5
-    assert state.velocity[0] == pytest.approx(1.5, abs=1e-15)
+    w, v = row(0.0), row(0.0)
+    sgd_step(w, row(1.0), v, lr=1.0, momentum=0.5)
+    assert w[0, 0] == pytest.approx(-1.0, abs=1e-15)  # v = 1
+    sgd_step(w, row(1.0), v, lr=1.0, momentum=0.5)
+    assert w[0, 0] == pytest.approx(-2.5, abs=1e-15)  # v = 1.5
+    assert v[0, 0] == pytest.approx(1.5, abs=1e-15)
 
 
 def test_adam_first_step_is_sign_scaled():
     # bias corrections cancel at t=1: step = lr * g / (|g| + eps)
-    w, state = adam_step(np.array([0.0]), np.array([3.0]), fresh(), lr=0.1)
+    w = row(0.0)
+    adam_step(w, row(3.0), row(0.0), row(0.0), 1, lr=0.1)
     expected = -0.1 * 3.0 / (3.0 + 1e-8)
-    assert w[0] == pytest.approx(expected, rel=1e-12)
-    assert state.step == 1
+    assert w[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_adam_zero_betas_reduces_to_normalized_gradient():
-    w, _ = adam_step(np.array([1.0]), np.array([-2.0]), fresh(), lr=0.5, beta1=0.0, beta2=0.0)
-    assert w[0] == pytest.approx(1.0 + 0.5, rel=1e-8)  # minus lr * sign(g)
+    w = row(1.0)
+    adam_step(w, row(-2.0), row(0.0), row(0.0), 1, lr=0.5, beta1=0.0, beta2=0.0)
+    assert w[0, 0] == pytest.approx(1.0 + 0.5, rel=1e-8)  # minus lr * sign(g)
 
 
 def test_adam_moments_update():
-    _, state = adam_step(np.array([0.0]), np.array([2.0]), fresh(), lr=0.1, beta1=0.9, beta2=0.99)
-    assert state.m[0] == pytest.approx(0.2, abs=1e-15)
-    assert state.u[0] == pytest.approx(0.04, abs=1e-15)
+    m, u = row(0.0), row(0.0)
+    adam_step(row(0.0), row(2.0), m, u, 1, lr=0.1, beta1=0.9, beta2=0.99)
+    assert m[0, 0] == pytest.approx(0.2, abs=1e-15)
+    assert u[0, 0] == pytest.approx(0.04, abs=1e-15)
 
 
 def test_adagrad_two_steps_frozen():
-    state = fresh()
-    w = np.array([0.0])
-    w, state = adagrad_step(w, np.array([1.0]), state, lr=1.0, eps=0.0)
-    assert w[0] == pytest.approx(-1.0, abs=1e-15)
-    w, state = adagrad_step(w, np.array([1.0]), state, lr=1.0, eps=0.0)
-    assert w[0] == pytest.approx(-1.0 - 1.0 / np.sqrt(2.0), abs=1e-15)
-    assert state.accum[0] == 2.0
+    w, accum = row(0.0), row(0.0)
+    adagrad_step(w, row(1.0), accum, lr=1.0, eps=0.0)
+    assert w[0, 0] == pytest.approx(-1.0, abs=1e-15)
+    adagrad_step(w, row(1.0), accum, lr=1.0, eps=0.0)
+    assert w[0, 0] == pytest.approx(-1.0 - 1.0 / np.sqrt(2.0), abs=1e-15)
+    assert accum[0, 0] == 2.0
 
 
 def test_steppers_do_not_mutate_inputs():
-    params = np.array([1.0, 2.0])
-    grads = np.array([0.5, 0.5])
-    state = fresh(2)
+    # the steppers write to the parameters and their own buffers only
+    grads = row(0.5, 0.5)
+    columns = np.array([[0.1], [0.2]])
     for stepper in (
-        lambda: sgd_step(params, grads, state, lr=0.1, momentum=0.9),
-        lambda: adam_step(params, grads, state, lr=0.1),
-        lambda: adagrad_step(params, grads, state, lr=0.1),
+        lambda w: sgd_step(w, grads, row(0.0, 0.0), lr=columns[:1], momentum=0.9),
+        lambda w: adam_step(w, grads, row(0.0, 0.0), row(0.0, 0.0), 1, lr=columns[:1]),
+        lambda w: adagrad_step(w, grads, row(0.0, 0.0), lr=columns[:1]),
     ):
-        stepper()
-        assert np.array_equal(params, [1.0, 2.0])
-        assert np.array_equal(state.velocity, [0.0, 0.0])
-        assert state.step == 0
+        w = row(1.0, 2.0)
+        stepper(w)
+        assert not np.array_equal(w, [[1.0, 2.0]])
+        assert np.array_equal(grads, [[0.5, 0.5]])
+        assert np.array_equal(columns, [[0.1], [0.2]])
 
 
 def test_steppers_are_bitwise_deterministic():
-    params = np.array([0.3, -0.7])
-    grads = np.array([0.11, 0.22])
-    a1, s1 = adam_step(params, grads, fresh(2), lr=0.01)
-    a2, s2 = adam_step(params, grads, fresh(2), lr=0.01)
-    assert np.array_equal(a1, a2)
-    assert np.array_equal(s1.m, s2.m)
+    # and each row of a population steps as it would alone
+    params = np.array([[0.3, -0.7], [1.5, 0.25]])
+    grads = np.array([[0.11, 0.22], [-0.4, 0.05]])
+    lr = np.array([[0.01], [0.3]])
+    pair = params.copy()
+    adam_step(pair, grads, np.zeros((2, 2)), np.zeros((2, 2)), 3, lr)
+    for k in range(2):
+        alone = params[k : k + 1].copy()
+        adam_step(alone, grads[k : k + 1], np.zeros((1, 2)), np.zeros((1, 2)), 3, lr[k : k + 1])
+        assert alone.tobytes() == pair[k : k + 1].tobytes()
 
 
 def test_poly_decay_frozen_values():
@@ -123,33 +129,44 @@ def test_poly_decay_monotone_nonincreasing(lr0, total, exponent):
     assert values[-1] == 0.0
 
 
+def stops(losses, patience=2, max_epochs=None, rel_delta=1e-4):
+    """Whether early stopping fires after the last of one trial's epoch losses."""
+    best, stale = np.full(1, np.nan), np.zeros(1, dtype=np.int64)
+    for epochs, loss in enumerate(losses, start=1):
+        best, stale, stop = early_stop(
+            best, stale, np.array([loss]), epochs, patience, max_epochs, rel_delta
+        )
+    return bool(stop[0])
+
+
 def test_early_stop_flat_sequence():
     # a flat run: epoch 1 is the last "improvement"; patience 2 stops at epoch 4
-    assert not early_stop([1.0], patience=2)
-    assert not early_stop([1.0, 1.0], patience=2)
-    assert not early_stop([1.0, 1.0, 1.0], patience=2)
-    assert early_stop([1.0, 1.0, 1.0, 1.0], patience=2)
+    assert not stops([1.0], patience=2)
+    assert not stops([1.0, 1.0], patience=2)
+    assert not stops([1.0, 1.0, 1.0], patience=2)
+    assert stops([1.0, 1.0, 1.0, 1.0], patience=2)
 
 
 def test_early_stop_needs_significant_improvement():
     # 0.49999 is less than 0.5 but not by the relative margin
     losses = [1.0, 0.5, 0.49999, 0.49998, 0.49997]
-    assert early_stop(losses, patience=2, rel_delta=1e-4)
+    assert stops(losses, patience=2, rel_delta=1e-4)
     # a genuine improvement resets the plateau
-    assert not early_stop([1.0, 0.5, 0.4, 0.3, 0.2], patience=2, rel_delta=1e-4)
+    assert not stops([1.0, 0.5, 0.4, 0.3, 0.2], patience=2, rel_delta=1e-4)
 
 
 def test_early_stop_max_epochs_cap():
     decreasing = [1.0 / (i + 1) for i in range(6)]
-    assert not early_stop(decreasing, patience=2, max_epochs=10)
-    assert early_stop(decreasing, patience=2, max_epochs=6)
+    assert not stops(decreasing, patience=2, max_epochs=10)
+    assert stops(decreasing, patience=2, max_epochs=6)
 
 
 def test_early_stop_validation():
+    best, stale, losses = np.full(1, np.nan), np.zeros(1, dtype=np.int64), np.ones(1)
     with pytest.raises(ValueError):
-        early_stop([], patience=2)
+        early_stop(best, stale, losses, 0, patience=2)
     with pytest.raises(ValueError):
-        early_stop([1.0], patience=-1)
+        early_stop(best, stale, losses, 1, patience=-1)
 
 
 def test_roster_ids_and_hyperparameters():

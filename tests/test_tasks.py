@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tunebench.core import Direction, substream
-from tunebench.optim import OptimizerState, adam_step, sgd_step
+from tunebench.optim import adam_step, sgd_step
 from tunebench.tasks import evaluate, logreg_task, make_task, mlp_task, quadratic_deep_task, task_ids
 
 
@@ -62,13 +62,13 @@ def test_quadratic_gradient_matches_finite_differences():
 
 def test_quadratic_sgd_descends():
     task = quadratic_deep_task(dim=30)
-    w = task.init_params(0)
+    w = task.init_params(0)[None]
     start = task.validation_loss(w)
-    state = OptimizerState.initial(30)
+    velocity = np.zeros_like(w)
     for epoch in range(3):
         for batch in range(task.n_batches):
-            _, grad = task.batch_loss_grad(w, epoch, batch, trial_seed=11)
-            w, state = sgd_step(w, grad, state, lr=1e-3)
+            _, grad = task.batch_loss_grad(w, epoch, batch, trial_seed=[11])
+            sgd_step(w, grad, velocity, lr=1e-3)
     assert task.validation_loss(w) < 0.5 * start
 
 
@@ -129,12 +129,12 @@ def test_logreg_loss_is_convex_on_lines():
 
 def test_logreg_trains_to_high_accuracy():
     task = logreg_task()
-    w = task.init_params(0)
-    state = OptimizerState.initial(task.dim)
+    w = task.init_params(0)[None]
+    velocity = np.zeros_like(w)
     for epoch in range(5):
         for batch in range(task.n_batches):
-            _, grad = task.batch_loss_grad(w, epoch, batch, trial_seed=3)
-            w, state = sgd_step(w, grad, state, lr=0.5)
+            _, grad = task.batch_loss_grad(w, epoch, batch, trial_seed=[3])
+            sgd_step(w, grad, velocity, lr=0.5)
     assert task.accuracy(w) > 0.9
     assert task.validation_loss(w) < np.log(2.0)
 
@@ -176,13 +176,15 @@ def test_mlp_adam_learns_the_spirals():
     # Interleaved spirals are slow going for a 32-unit net; 200 epochs is
     # enough to pull clear of chance without tuning anything.
     task = mlp_task()
-    w = task.init_params(0)
+    w = task.init_params(0)[None]
     start = task.accuracy(w)
-    state = OptimizerState.initial(task.dim)
+    m, u = np.zeros_like(w), np.zeros_like(w)
+    steps = 0
     for epoch in range(200):
         for batch in range(task.n_batches):
-            _, grad = task.batch_loss_grad(w, epoch, batch, trial_seed=2)
-            w, state = adam_step(w, grad, state, lr=0.01)
+            _, grad = task.batch_loss_grad(w, epoch, batch, trial_seed=[2])
+            steps += 1
+            adam_step(w, grad, m, u, steps, lr=0.01)
     assert task.accuracy(w) > max(0.65, start)
     assert task.validation_loss(w) < 0.65
 
